@@ -53,6 +53,12 @@ class FullScan:
                 return f"reply {record['id']} not later than its parent"
         return None
 
+    def user_periods(self) -> set[tuple[str, int]]:
+        """Every (author, period) with an entry in range; deleted authors are no subject."""
+        pairs = {(_author(r), self.period(r)) for r in self.ordered}
+        return {(user, period) for user, period in pairs
+                if user != "[deleted]" and period is not None}
+
     def period(self, record: dict) -> int | None:
         ts = record["created_utc"]
         if ts < self.cutoffs[0] or ts >= self.cutoffs[-1]:

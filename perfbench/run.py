@@ -8,9 +8,10 @@ planted-forecast (see workloads.py for what each exercises and why).
 Every set-up and every timed pass runs in a fresh single-threaded worker
 process (one client, closed loop), with BLAS/OpenMP pinned to one thread.
 `--trace 0` repeats passes until `--seconds` have been measured and reports
-the end-to-end metrics as medians over passes. `--trace 1`
-makes one untraced and one traced pass and reports the per-layer metrics,
-with the tracing overhead as the difference of their `run_s`.
+the end-to-end metrics as medians over passes, with the pass count.
+`--trace 1` makes the same untraced passes, then one traced pass, and
+reports the per-layer metrics, with the tracing overhead as the traced
+`run_s` minus the untraced median.
 
 Every metric is printed by name with its unit; the last line of stdout is
 one JSON object: {"correct", "attempted", "failed", "metrics"}. Work files
@@ -141,29 +142,25 @@ def main() -> int:
     units = dict(END_TO_END, rerun_s="s", **dict(tracer.per_layer_names()))
     reported = [name for name, _ in (tracer.per_layer_names() if args.trace else END_TO_END)]
     metrics, passes = {}, []
-    if setup is not None and args.trace:
-        untraced = runner.run_pass("untraced", RERUNS[args.workload])
-        traced = runner.run_pass("traced", min(RERUNS[args.workload], 1),
-                                 spans=work / "spans.jsonl")
-        metrics["setup_s"] = setup["setup_s"]
-        if untraced:
-            metrics.update(untraced["metrics"])
-        if untraced and traced and traced["layers"]:
-            metrics.update(traced["layers"])
-            metrics["synth.generate_s"] = setup["synth.generate_s"]
-            metrics["pipeline.rerun_s"] = untraced["metrics"].get("rerun_s", 0.0)
-            metrics["trace.run_s"] = traced["metrics"]["run_s"]
-            metrics["trace.untraced_run_s"] = untraced["metrics"]["run_s"]
-            metrics["trace.overhead_s"] = metrics["trace.run_s"] - metrics["trace.untraced_run_s"]
-        passes = [p for p in (untraced, traced) if p]
-    elif setup is not None:
+    if setup is not None:
         metrics, passes = measure(runner, args.seconds)
         metrics["setup_s"] = setup["setup_s"]
+    if passes and args.trace:
+        traced = runner.run_pass("traced", min(RERUNS[args.workload], 1),
+                                 spans=work / "spans.jsonl")
+        if traced and traced["layers"]:
+            metrics.update(traced["layers"])
+            metrics["synth.generate_s"] = setup["synth.generate_s"]
+            metrics["pipeline.rerun_s"] = metrics.get("rerun_s", 0.0)
+            metrics["trace.run_s"] = traced["metrics"]["run_s"]
+            metrics["trace.untraced_run_s"] = metrics["run_s"]
+            metrics["trace.overhead_s"] = metrics["trace.run_s"] - metrics["run_s"]
     if passes:
         (work / "digests.json").write_text(json.dumps(passes[0]["digests"], indent=1))
     shutil.rmtree(work / "inputs", ignore_errors=True)
 
     correct = runner.failed == 0 and all(name in metrics for name in reported)
+    print(f"{'passes':<44} {len(passes):>16d} untraced, medians taken over them")
     for name in metrics:
         print(f"{name:<44} {metrics[name]:>16.6f} {units[name]}")
     for name, digest in sorted(passes[0]["digests"].items() if passes else []):
@@ -177,7 +174,7 @@ def main() -> int:
         "metrics": {name: {"value": metrics.get(name, 0.0), "unit": units[name]}
                     for name in reported},
     }
-    (work / "result.json").write_text(json.dumps(summary, indent=1))
+    (work / "result.json").write_text(json.dumps(dict(summary, passes=len(passes)), indent=1))
     print(json.dumps(summary))
     return 0
 

@@ -53,24 +53,23 @@ _ACCENTED = ("café", "naïve", "rôle", "élite", "déjà", "façade", "coöper
 _PUNCT = ("", "", "", ".", ",", "!", "?", ";")
 
 
-@dataclass
-class ScrapedParams:
-    n_users: int = 2000
-    n_periods: int = 6
-    participation: float = 0.9
-    extra_entries_mean: float = 1.2
-    post_prob: float = 0.08
-    period_days: int = 30
-    start: str = "2016-01-01"
-    stem_count: int = 1500
-    tilt_prob: float = 0.25
-    hashtag_prob: float = 0.30
-    deleted_prob: float = 0.02
-    dangling: int = 40
-    cycles: tuple[int, ...] = (2, 3, 2)
-    early_children: int = 60
-    duplicates: int = 30
-    malformed: int = 25
+N_USERS = 2000
+N_PERIODS = 6
+PARTICIPATION = 0.9
+EXTRA_ENTRIES_MEAN = 1.2
+POST_PROB = 0.08
+PERIOD_DAYS = 30
+START = "2016-01-01"
+STEM_COUNT = 1500
+TILT_PROB = 0.25
+HASHTAG_PROB = 0.30
+DELETED_PROB = 0.02
+# Planted defects: how many of each, and the sizes of the parent-link rings.
+DANGLING = 40
+CYCLES = (2, 3, 2)
+EARLY_CHILDREN = 60
+DUPLICATES = 30
+MALFORMED = 25
 
 
 @dataclass
@@ -132,11 +131,10 @@ def _iso(ts: int) -> str:
 class _Text:
     """Stance-tilted pseudo-English sentences."""
 
-    def __init__(self, rng: random.Random, params: ScrapedParams):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.params = params
-        stems = _stems(rng, params.stem_count)
-        n_tilt = params.stem_count // 10
+        stems = _stems(rng, STEM_COUNT)
+        n_tilt = STEM_COUNT // 10
         self.pools = {
             "A": stems[:n_tilt],
             "P": stems[n_tilt:2 * n_tilt],
@@ -152,9 +150,9 @@ class _Text:
         return [a + b for a, b in zip(stems, suffixes)]
 
     def entry(self, stance: str, user_names: list[str]) -> str:
-        rng, params = self.rng, self.params
+        rng = self.rng
         n_words = min(60, 4 + int(rng.expovariate(1 / 14)))
-        n_tilted = sum(1 for _ in range(n_words) if rng.random() < params.tilt_prob)
+        n_tilted = sum(1 for _ in range(n_words) if rng.random() < TILT_PROB)
         if stance == "N":
             tilted = self._draw("A", n_tilted // 2) + self._draw("P", n_tilted - n_tilted // 2)
         else:
@@ -174,7 +172,7 @@ class _Text:
             out.insert(rng.randrange(len(out)), "@" + rng.choice(user_names))
         elif roll < 0.08:
             out.insert(rng.randrange(len(out)), rng.choice(_ACCENTED))
-        if rng.random() < params.hashtag_prob:
+        if rng.random() < HASHTAG_PROB:
             for _ in range(rng.choice((1, 1, 2))):
                 out.append("#" + self._hashtag(stance))
         return " ".join(out)
@@ -203,31 +201,31 @@ def lexicon_text() -> str:
         "[against]\n" + "".join(f"#{t}\n" for t in AGAINST_TAGS)
 
 
-def generate(seed: int, params: ScrapedParams = ScrapedParams()) -> ScrapedDump:
+def generate(seed: int, n_users: int = N_USERS) -> ScrapedDump:
     """Build the dump text and the planted-defect record for one seed."""
     rng = random.Random(seed)
-    text = _Text(rng, params)
+    text = _Text(rng)
     users = [f"{rng.choice(_ONSETS)}{rng.choice(_NUCLEI)}{rng.choice(_CODAS)}_{i}"
-             for i in range(params.n_users)]
-    start = int(datetime.fromisoformat(params.start).replace(tzinfo=timezone.utc).timestamp())
-    span = params.period_days * 86_400
-    cutoffs = [start + j * span for j in range(params.n_periods + 1)]
+             for i in range(n_users)]
+    start = int(datetime.fromisoformat(START).replace(tzinfo=timezone.utc).timestamp())
+    span = PERIOD_DAYS * 86_400
+    cutoffs = [start + j * span for j in range(N_PERIODS + 1)]
 
     stance = {u: rng.choices("ANP", weights=(0.35, 0.3, 0.35))[0] for u in users}
     records: list[dict] = []          # in chronological order
     children: dict[str, int] = {}
     serial = rng.randrange(10**6, 10**7)
 
-    for period in range(params.n_periods):
+    for period in range(N_PERIODS):
         if period:
             for u in users:
                 if rng.random() < 0.2:
                     stance[u] = rng.choice("ANP")
         slots: list[str] = []
         for u in users:
-            if rng.random() < params.participation:
+            if rng.random() < PARTICIPATION:
                 extra = 0
-                while rng.random() < params.extra_entries_mean / (1 + params.extra_entries_mean):
+                while rng.random() < EXTRA_ENTRIES_MEAN / (1 + EXTRA_ENTRIES_MEAN):
                     extra += 1
                 slots.extend([u] * (1 + extra))
         rng.shuffle(slots)
@@ -237,7 +235,7 @@ def generate(seed: int, params: ScrapedParams = ScrapedParams()) -> ScrapedDump:
         threads: list[list[str]] = []
         for author, ts in zip(slots, stamps):
             serial += rng.randrange(1, 40)
-            is_post = not threads or rng.random() < params.post_prob
+            is_post = not threads or rng.random() < POST_PROB
             record = {"id": ("t3_" if is_post else "t1_") + _base36(serial),
                       "author": author, "created_utc": ts,
                       "body": text.entry(stance[author], users),
@@ -257,15 +255,15 @@ def generate(seed: int, params: ScrapedParams = ScrapedParams()) -> ScrapedDump:
 
     planted = Planted()
     comments = [r for r in records if r["parent_id"] is not None]
-    picked = rng.sample(range(len(comments)), params.dangling + 4 * params.early_children)
-    dangling = [comments[i] for i in picked[:params.dangling]]
+    picked = rng.sample(range(len(comments)), DANGLING + 4 * EARLY_CHILDREN)
+    dangling = [comments[i] for i in picked[:DANGLING]]
     for record in dangling:
         record["parent_id"] = f"t1_gone{_base36(rng.randrange(36**5))}"
     planted.orphan_roots = len(dangling)
     by_id = {r["id"]: r for r in records}
     # Child-before-parent only on leaves, so each plant is exactly one clamp.
-    early = [comments[i] for i in picked[params.dangling:]
-             if children.get(comments[i]["id"], 0) == 0][:params.early_children]
+    early = [comments[i] for i in picked[DANGLING:]
+             if children.get(comments[i]["id"], 0) == 0][:EARLY_CHILDREN]
     clamped_ts: dict[str, int] = {}
     for record in early:
         parent_ts = by_id[record["parent_id"]]["created_utc"]
@@ -274,12 +272,12 @@ def generate(seed: int, params: ScrapedParams = ScrapedParams()) -> ScrapedDump:
     planted.clamped_timestamps = len(early)
 
     # Parent-link cycles: fresh comments whose parents form a ring.
-    for size in params.cycles:
+    for size in CYCLES:
         ids = []
         for _ in range(size):
             serial += rng.randrange(1, 40)
             ids.append("t1_" + _base36(serial))
-        period = rng.randrange(params.n_periods)
+        period = rng.randrange(N_PERIODS)
         for i, entry_id in enumerate(ids):
             author = rng.choice(users)
             ts = rng.randrange(cutoffs[period] + 3_600, cutoffs[period + 1] - 3_600)
@@ -288,17 +286,17 @@ def generate(seed: int, params: ScrapedParams = ScrapedParams()) -> ScrapedDump:
                       "parent_id": ids[(i + 1) % size], "subreddit": "ukpolitics",
                       "score": 1}
             records.insert(bisect.bisect([r["created_utc"] for r in records], ts), record)
-    n_cycle = sum(params.cycles)
+    n_cycle = sum(CYCLES)
     planted.broken_cycles = n_cycle
     planted.orphan_roots += n_cycle
 
     for record in records:
-        if rng.random() < params.deleted_prob:
+        if rng.random() < DELETED_PROB:
             record["author"] = rng.choice(DELETED_AUTHOR_VALUES)
             planted.deleted_authors += 1
 
     # Expected ingest view: repaired timestamps, per-period counts, user-periods.
-    period_counts = [0] * params.n_periods
+    period_counts = [0] * N_PERIODS
     user_periods: set[tuple[str, int]] = set()
     for record in records:
         ts = clamped_ts.get(record["id"], record["created_utc"])
@@ -315,17 +313,17 @@ def generate(seed: int, params: ScrapedParams = ScrapedParams()) -> ScrapedDump:
 
     lines = [json.dumps(r, separators=(",", ":")) for r in records]
     # Duplicate ids: a later record reuses an earlier id (first one wins).
-    for _ in range(params.duplicates):
+    for _ in range(DUPLICATES):
         original = records[rng.randrange(len(records))]
         copy = dict(original, body=original["body"] + " [edited]")
         at = lines.index(json.dumps(original, separators=(",", ":")))
         lines.insert(rng.randrange(at + 1, len(lines) + 1), json.dumps(copy, separators=(",", ":")))
-    planted.duplicate_ids = params.duplicates
-    for i in range(params.malformed):
+    planted.duplicate_ids = DUPLICATES
+    for i in range(MALFORMED):
         lines.insert(rng.randrange(len(lines) + 1), _malformed_line(i, rng, cutoffs[0]))
         if i % 5 == 0:
             lines.insert(rng.randrange(len(lines) + 1), "")
-    planted.malformed_records = params.malformed
+    planted.malformed_records = MALFORMED
     return ScrapedDump(text="\n".join(lines) + "\n",
                        cutoffs=[_iso(c) for c in cutoffs], planted=planted)
 

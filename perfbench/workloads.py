@@ -66,6 +66,10 @@ PLANTED_SEARCH = {
 PLANTED_CV = dict(outer_k=2, inner_k=2, seed=5)
 PLANTED_MIN_F1 = 0.80
 ORACLE_SAMPLE = 16
+# Set-up writes the inputs this many times and for this long; setup_s is
+# the median.
+SETUP_MIN_REPS = 3
+SETUP_MIN_S = 3.0
 
 
 class PassFailed(Exception):
@@ -117,9 +121,13 @@ def sha256_json(payload) -> str:
 
 def check_digests(ops: Ops, workload: str, seed: int, digests: dict[str, str]) -> None:
     """Compare with the stored reference; references exist for default seeds only."""
-    if seed != DEFAULT_SEEDS[workload] or not REFERENCE.exists():
+    if seed != DEFAULT_SEEDS[workload]:
         return
-    reference = json.loads(REFERENCE.read_text())[workload]
+    stored = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
+    if not ops.check("reference digests stored", workload in stored,
+                     f"no {workload} entry in {REFERENCE.name}"):
+        return
+    reference = stored[workload]
     for name in sorted(set(reference) | set(digests)):
         ops.check(f"digest {name}", reference.get(name) == digests.get(name),
                   f"{digests.get(name)} != reference {reference.get(name)}")
@@ -152,8 +160,7 @@ class CliScraped:
         return {"dump.jsonl": hashlib.sha256(dump.text.encode()).hexdigest()}
 
     def seed_check_digests(self, seeds) -> list[str]:
-        small = scraped.ScrapedParams(n_users=60)
-        return [hashlib.sha256(scraped.generate(s, small).text.encode()).hexdigest()
+        return [hashlib.sha256(scraped.generate(s, n_users=60).text.encode()).hexdigest()
                 for s in seeds]
 
     def _config(self, inputs: Path, out: Path) -> Path:
@@ -292,19 +299,22 @@ class DeepThreads(_SynthWorkload):
         stances = oracle.read_stances((inputs / "stances.tsv").read_text(encoding="utf-8"))
         scan = oracle.FullScan(records, stances, json.loads((inputs / "cutoffs.json").read_text()))
         problem = scan.check_clean()
-        if ops.check("oracle applies", problem is None, problem or ""):
-            tables = {}
-            for set_id in ("FS1", "FS2"):
-                text = (out / f"features_{set_id}.tsv").read_text(encoding="utf-8")
-                tables[set_id] = {(v.user, v.period): list(v.values) for v in
-                                  stancecast.features.feature_table_from_tsv(text)}
-            sample = random.Random(seed).sample(sorted(tables["FS1"]), ORACLE_SAMPLE)
-            for user, period in sample:
-                fs1, fs2 = scan.features(user, period)
-                ops.check(f"FS1 {user} t={period}", tables["FS1"][(user, period)] == fs1,
-                          f"{tables['FS1'][(user, period)]} != full scan {fs1}")
-                ops.check(f"FS2 {user} t={period}", tables["FS2"][(user, period)] == fs2,
-                          f"{tables['FS2'][(user, period)]} != full scan {fs2}")
+        if not ops.check("oracle applies", problem is None, problem or ""):
+            return
+        # Every user-period of the dump has one vector in every set.
+        expected = scan.user_periods()
+        tables = {}
+        for set_id in self.sets:
+            text = (out / f"features_{set_id}.tsv").read_text(encoding="utf-8")
+            tables[set_id] = {(v.user, v.period): list(v.values) for v in
+                              stancecast.features.feature_table_from_tsv(text)}
+            ops.check(f"{set_id} user-periods", set(tables[set_id]) == expected,
+                      f"{len(tables[set_id])} vectors, {len(expected)} user-periods in the dump")
+        for user, period in random.Random(seed).sample(sorted(expected), ORACLE_SAMPLE):
+            for set_id, values in zip(("FS1", "FS2"), scan.features(user, period)):
+                got = tables[set_id].get((user, period))
+                ops.check(f"{set_id} {user} t={period}", got == values,
+                          f"{got} != full scan {values}")
 
     def digests(self, out: Path) -> dict[str, str]:
         return {f"features_{s}.tsv": sha256_file(out / f"features_{s}.tsv") for s in self.sets}
@@ -351,16 +361,15 @@ WORKLOADS = {w.name: w for w in (CliScraped(), DeepThreads(), PlantedForecast())
 # Worker entry points (one fresh process each, see worker.py)
 # ---------------------------------------------------------------------------
 
-def do_setup(workload: str, seed: int, inputs: Path, min_reps: int = 3,
-             min_seconds: float = 3.0) -> dict:
-    """Write the inputs at least `min_reps` times and for `min_seconds`.
+def do_setup(workload: str, seed: int, inputs: Path) -> dict:
+    """Write the inputs at least SETUP_MIN_REPS times and for SETUP_MIN_S.
 
     `setup_s` is the median; every repetition must give the same bytes.
     """
     ops = Ops()
     wl = WORKLOADS[workload]
     times, generate, digests = [], [], []
-    while len(times) < min_reps or sum(times) < min_seconds:
+    while len(times) < SETUP_MIN_REPS or sum(times) < SETUP_MIN_S:
         shutil.rmtree(inputs, ignore_errors=True)
         inputs.mkdir(parents=True)
         started = time.perf_counter()
@@ -377,7 +386,7 @@ def do_setup(workload: str, seed: int, inputs: Path, min_reps: int = 3,
 
 
 def do_run(workload: str, seed: int, inputs: Path, out: Path, reruns: int, tracer=None) -> dict:
-    """One cold pass, then (cli-scraped only) `reruns` cached reruns; checks after timing."""
+    """One cold pass, then `reruns` cached reruns (cli-scraped); checks after timing."""
     ops = Ops()
     wl = WORKLOADS[workload]
     cli = workload == "cli-scraped"
@@ -397,7 +406,7 @@ def do_run(workload: str, seed: int, inputs: Path, out: Path, reruns: int, trace
         after = resource.getrusage(resource.RUSAGE_SELF)
         metrics["entries_per_s"] = entries / metrics["run_s"]
         rerun_times, hits = [], []
-        for _ in range(reruns if cli else 0):
+        for _ in range(reruns):
             with span("rerun"):
                 started = time.perf_counter()
                 hits = wl.rerun(inputs, out / "cold", ops, span)
