@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 All subcommands take the same declarative JSON config; `--set` overrides
-individual keys. Exit codes: 0 success, 2 config error, 1 runtime error.
+individual keys. Exit codes: 0 success, 2 config error, 1 runtime error;
+every failure prints one line to stderr, and `STANCECAST_LOG=debug` adds the
+traceback of an unexpected one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .pipeline import (
     run_report,
     run_synth,
 )
+
+log = logging.getLogger("stancecast.cli")
 
 _COMMANDS = {
     "ingest": run_ingest,
@@ -65,6 +69,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        log.debug("%s failed", args.command, exc_info=True)
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -25,6 +25,10 @@ SENTINEL_AUTHOR = "[deleted]"
 
 _DELETED_AUTHOR_VALUES = {"", "[deleted]", "[removed]"}
 
+# An author is written as one cell of a TSV row (stances.tsv, feature
+# tables), so it must hold no tab and nothing `str.splitlines` breaks on.
+_TSV_BREAKING_CHARS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
 
 @dataclass(frozen=True)
 class Entry:
@@ -61,11 +65,12 @@ class ParseResult:
 def parse_entries(lines: Iterable[str]) -> ParseResult:
     """Parse line-delimited JSON records into entries.
 
-    Each record needs `id`, `author`, `created_utc` (integer seconds) and
-    optionally `body` (or `text`) and `parent_id`. Malformed records are
-    counted and skipped; a duplicate id keeps the first occurrence. A
-    `null` author is an explicit deletion marker and maps to the sentinel
-    user, while a missing author field makes the record malformed.
+    Each record needs `id`, `author`, `created_utc` (integer seconds that
+    `datetime` can represent) and optionally `body` (or `text`) and
+    `parent_id`. Malformed records are counted and skipped; a duplicate id
+    keeps the first occurrence. A `null` author is an explicit deletion
+    marker and maps to the sentinel user, while a missing author field, or
+    an author with a tab or a line break, makes the record malformed.
     """
     entries: list[Entry] = []
     seen: set[str] = set()
@@ -108,7 +113,7 @@ def _entry_from_record(record: dict) -> Optional[Entry]:
     author = record["author"]
     if author is None:
         author = SENTINEL_AUTHOR
-    if not isinstance(author, str):
+    if not isinstance(author, str) or not _TSV_BREAKING_CHARS.isdisjoint(author):
         return None
     if author in _DELETED_AUTHOR_VALUES:
         author = SENTINEL_AUTHOR
@@ -125,6 +130,10 @@ def _entry_from_record(record: dict) -> Optional[Entry]:
             return None
         timestamp = int(timestamp)
     if not isinstance(timestamp, int):
+        return None
+    try:
+        datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError):
         return None
     body = record.get("body")
     if body is None:

@@ -70,20 +70,45 @@ class FeatureVector:
     current_stance: Stance
 
 
-@dataclass
+@dataclass(slots=True)
 class UserPeriodActivity:
     posts: list[str] = field(default_factory=list)
     comments: list[str] = field(default_factory=list)
     threads: set[str] = field(default_factory=set)
 
 
+# Tally slot for entries whose author has no stance in the entry's period;
+# slots 0-2 follow STANCE_ORDER.
+_UNLABELED = len(STANCE_ORDER)
+
+
 @dataclass
 class PeriodUserIndex:
-    """Per-period activity lookup derived from forest plus partition."""
+    """Per-period lookups built in one pass over forest, partition and stances.
+
+    `activity` holds each user's posts, comments and threads per period and
+    `period_of` the period of every in-range entry. Two tallies count
+    entries by their author's stance in the entry's period, as
+    (Against, Neutral, Pro, unlabeled):
+
+    * `replies[e]`, for every in-range entry `e`: its direct and indirect
+      replies that fall in the same period as `e`;
+    * `composition[(thread, period)]`: the thread's entries in that period.
+
+    `replies` comes from one bottom-up recurrence, which is exact because
+    `build_forest` clamps every child's timestamp up to its parent's:
+    periods never decrease along a root-to-leaf path, so the in-period
+    replies of `e` are the connected same-period subtree below it.
+    `build_period_user_index` raises `ValueError` on a forest that breaks
+    this invariant. `stances` is the assignment the tallies were counted
+    with; FS2 and FS3 refuse any other.
+    """
 
     activity: dict[int, dict[str, UserPeriodActivity]]
     period_of: dict[str, int]
-    thread_period_entries: dict[tuple[str, int], list[str]]
+    replies: dict[str, tuple[int, int, int, int]]
+    composition: dict[tuple[str, int], tuple[int, int, int, int]]
+    stances: StanceAssignment
 
     def users(self, period: int) -> list[str]:
         return sorted(self.activity.get(period, {}))
@@ -94,29 +119,64 @@ class PeriodUserIndex:
         except KeyError:
             raise ValueError(f"user {user!r} is not active in period {period}") from None
 
+    def require_stances(self, stances: StanceAssignment) -> None:
+        if stances is not self.stances:
+            raise ValueError("the index was built from another stance assignment")
 
-def build_period_user_index(forest: ThreadForest, partition: TimePartition) -> PeriodUserIndex:
+
+def build_period_user_index(
+    forest: ThreadForest, partition: TimePartition, stances: StanceAssignment
+) -> PeriodUserIndex:
     activity: dict[int, dict[str, UserPeriodActivity]] = {
         j: {} for j in range(partition.n_periods)
     }
     period_of: dict[str, int] = {}
-    thread_entries: dict[tuple[str, int], list[str]] = {}
-    ordered = sorted(forest.entry_index.values(), key=lambda e: (e.timestamp, e.id))
-    for entry in ordered:
+    slot_of: dict[str, int] = {}
+    composition: dict[tuple[str, int], list[int]] = {}
+    # Top-down: pre-order over every thread, so parents precede children.
+    order: list[str] = []
+    stack = list(reversed(forest.roots))
+    while stack:
+        eid = stack.pop()
+        order.append(eid)
+        stack.extend(reversed(forest.children[eid]))
+        entry = forest.entry_index[eid]
         period = partition.period_of(entry.timestamp)
         if period is None:
             continue
-        period_of[entry.id] = period
+        period_of[eid] = period
         slot = activity[period].setdefault(entry.author, UserPeriodActivity())
         if entry.is_post:
-            slot.posts.append(entry.id)
+            slot.posts.append(eid)
         else:
-            slot.comments.append(entry.id)
-        thread = forest.thread_of[entry.id]
+            slot.comments.append(eid)
+        thread = forest.thread_of[eid]
         slot.threads.add(thread)
-        thread_entries.setdefault((thread, period), []).append(entry.id)
-    return PeriodUserIndex(activity=activity, period_of=period_of,
-                           thread_period_entries=thread_entries)
+        stance = stances.get(entry.author, period)
+        slot_of[eid] = _UNLABELED if stance is None else STANCE_INDEX[stance]
+        composition.setdefault((thread, period), [0, 0, 0, 0])[slot_of[eid]] += 1
+
+    # Bottom-up: tally[e] = sum over same-period children c of onehot(c) + tally[c].
+    replies: dict[str, tuple[int, int, int, int]] = {}
+    for eid in reversed(order):
+        timestamp = forest.entry_index[eid].timestamp
+        period = period_of.get(eid)
+        tally = [0, 0, 0, 0]
+        for child in forest.children[eid]:
+            if forest.entry_index[child].timestamp < timestamp:
+                raise ValueError(
+                    f"entry {child!r} is earlier than its parent {eid!r}; "
+                    "the forest must come from build_forest")
+            if period is not None and period_of.get(child) == period:
+                for k, n in enumerate(replies[child]):
+                    tally[k] += n
+                tally[slot_of[child]] += 1
+        if period is not None:
+            replies[eid] = tuple(tally)
+    return PeriodUserIndex(
+        activity=activity, period_of=period_of, replies=replies,
+        composition={key: tuple(counts) for key, counts in composition.items()},
+        stances=stances)
 
 
 def _stance_onehot(stance: Stance) -> tuple[float, float, float]:
@@ -156,19 +216,6 @@ def _own_entries(
     return entries, comments
 
 
-def _replies_in_period(
-    forest: ThreadForest, entry_id: str, period: int, period_of: Mapping[str, int]
-) -> list[str]:
-    stack = list(forest.children[entry_id])
-    found = []
-    while stack:
-        node = stack.pop()
-        if period_of.get(node) == period:
-            found.append(node)
-        stack.extend(forest.children[node])
-    return found
-
-
 def compute_fs1(
     user: str,
     period: int,
@@ -183,9 +230,7 @@ def compute_fs1(
     submitted = len(comments)
     if initiated + submitted != len(own):
         raise AssertionError("entry tally does not decompose into posts plus comments")
-    reply_counts = [
-        len(_replies_in_period(forest, eid, period, index.period_of)) for eid in own
-    ]
+    reply_counts = [sum(index.replies[eid]) for eid in own]
     values = (float(initiated), float(submitted), *quantiles5(reply_counts))
     stance = _current_stance(user, period, stances)
     return FeatureVector(user=user, period=period, set_id="FS1",
@@ -228,6 +273,7 @@ def compute_fs2(
     stances: StanceAssignment,
 ) -> FeatureVector:
     """Interaction features split by the stance of the counterpart."""
+    index.require_stances(stances)
     activity = index.user_activity(user, period)
     own, comments = _own_entries(forest, activity)
 
@@ -238,27 +284,23 @@ def compute_fs2(
     if sum(sent.values()) != len(comments):
         raise AssertionError("per-stance comment counts do not sum to the total")
 
-    received: dict[Stance, list[int]] = {s: [] for s in STANCE_ORDER}
+    received: list[list[int]] = [[] for _ in STANCE_ORDER]
     for eid in own:
-        per_stance = {s: 0 for s in STANCE_ORDER}
-        replies = _replies_in_period(forest, eid, period, index.period_of)
-        for rid in replies:
-            author = forest.entry_index[rid].author
-            stance = stances.get(author, period)
-            if stance is None:
-                raise ValueError(
-                    f"no stance labeled for {author!r} in period {period}; "
-                    "labeling must precede feature extraction"
-                )
-            per_stance[stance] += 1
-        if sum(per_stance.values()) != len(replies):
+        tally = index.replies[eid]
+        if tally[_UNLABELED]:
+            raise ValueError(
+                f"{tally[_UNLABELED]} in-period repl(ies) to {eid!r} have an author "
+                f"with no stance labeled in period {period}; "
+                "labeling must precede feature extraction"
+            )
+        if sum(tally[:_UNLABELED]) != sum(tally):
             raise AssertionError("per-stance reply counts do not sum to the total")
-        for s in STANCE_ORDER:
-            received[s].append(per_stance[s])
+        for counts, n in zip(received, tally):
+            counts.append(n)
 
     values: list[float] = [float(sent[s]) for s in STANCE_ORDER]
-    for s in STANCE_ORDER:
-        values.extend(quantiles5(received[s]))
+    for counts in received:
+        values.extend(quantiles5(counts))
     stance = _current_stance(user, period, stances)
     return FeatureVector(user=user, period=period, set_id="FS2",
                          values=tuple(values) + _stance_onehot(stance),
@@ -273,24 +315,22 @@ def compute_fs3(
     stances: StanceAssignment,
 ) -> FeatureVector:
     """Stance composition of the threads the user engaged in."""
+    index.require_stances(stances)
     activity = index.user_activity(user, period)
-    per_thread: dict[Stance, list[int]] = {s: [] for s in STANCE_ORDER}
+    per_thread: list[list[int]] = [[] for _ in STANCE_ORDER]
     for thread in sorted(activity.threads):
-        counts = {s: 0 for s in STANCE_ORDER}
-        for eid in index.thread_period_entries.get((thread, period), ()):
-            author = forest.entry_index[eid].author
-            stance = stances.get(author, period)
-            if stance is None:
-                raise ValueError(
-                    f"no stance labeled for {author!r} in period {period}; "
-                    "labeling must precede feature extraction"
-                )
-            counts[stance] += 1
-        for s in STANCE_ORDER:
-            per_thread[s].append(counts[s])
+        counts = index.composition[(thread, period)]
+        if counts[_UNLABELED]:
+            raise ValueError(
+                f"{counts[_UNLABELED]} entr(ies) of thread {thread!r} have an author "
+                f"with no stance labeled in period {period}; "
+                "labeling must precede feature extraction"
+            )
+        for per_stance, n in zip(per_thread, counts):
+            per_stance.append(n)
     values: list[float] = []
-    for s in STANCE_ORDER:
-        values.extend(quantiles5(per_thread[s]))
+    for counts in per_thread:
+        values.extend(quantiles5(counts))
     stance = _current_stance(user, period, stances)
     return FeatureVector(user=user, period=period, set_id="FS3",
                          values=tuple(values) + _stance_onehot(stance),
@@ -404,7 +444,7 @@ def extract_all(
     unknown = [s for s in sets if s not in SET_IDS]
     if unknown:
         raise ValueError(f"unknown feature sets: {unknown}")
-    index = build_period_user_index(forest, partition)
+    index = build_period_user_index(forest, partition, stances)
     needed = set(sets)
     if "FS4" in needed:
         needed.update(("FS1", "FS2", "FS3"))
@@ -504,14 +544,35 @@ def feature_table_tsv(vectors: Sequence[FeatureVector]) -> str:
 
 
 def feature_table_from_tsv(text: str) -> list[FeatureVector]:
-    rows = [r for r in text.splitlines() if r.strip()]
+    """Parse a table written by `feature_table_tsv`.
+
+    Raises `ValueError` naming the line when the header is not
+    `user, period, set_id, f_0 ... f_{w-1}` or a row does not fit it.
+    """
+    lines = [(n, row) for n, row in enumerate(text.splitlines(), start=1) if row.strip()]
+    if not lines:
+        raise ValueError("feature table is empty: missing header")
+    header = lines[0][1].split("\t")
+    width = len(header) - 3
+    if header != ["user", "period", "set_id"] + [f"f_{i}" for i in range(width)]:
+        raise ValueError(f"line {lines[0][0]}: feature table header must be "
+                         "user, period, set_id, f_0 ... f_{w-1}")
+    if width < 3 and len(lines) > 1:
+        raise ValueError(f"line {lines[0][0]}: {width} value column(s) cannot hold "
+                         "the 3-slot stance one-hot")
     vectors = []
-    for row in rows[1:]:
+    for n, row in lines[1:]:
         cells = row.split("\t")
-        values = tuple(float(c) for c in cells[3:])
+        if len(cells) != width + 3:
+            raise ValueError(f"line {n}: {len(cells)} cells, header has {width + 3}")
+        try:
+            period = int(cells[1])
+            values = tuple(float(c) for c in cells[3:])
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
         onehot = values[-3:]
         stance = STANCE_ORDER[max(range(3), key=lambda i: onehot[i])]
-        vectors.append(FeatureVector(user=cells[0], period=int(cells[1]),
+        vectors.append(FeatureVector(user=cells[0], period=period,
                                      set_id=cells[2], values=values,
                                      current_stance=stance))
     return vectors

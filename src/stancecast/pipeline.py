@@ -384,7 +384,10 @@ def run_evaluate(config: PipelineConfig) -> dict:
         table = feature_table_path(config, set_id)
         if not table.exists():
             raise PipelineError(f"missing artifact {table}; run features first")
-        vectors = feature_table_from_tsv(table.read_text(encoding="utf-8"))
+        try:
+            vectors = feature_table_from_tsv(table.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise PipelineError(f"{table}: {exc}") from exc
         instances = make_instances(vectors, stances)
         if not instances:
             raise PipelineError(f"no supervised instances for {set_id}")

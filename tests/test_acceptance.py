@@ -69,7 +69,7 @@ def test_criterion_1_structural_identities():
         if len(diffusions) != leaves:
             violations += 1
         stances = random_stances(rng, entries, partition)
-        index = build_period_user_index(forest, partition)
+        index = build_period_user_index(forest, partition, stances)
         for period in range(2):
             for user in index.users(period):
                 fs1 = dict(zip(fs1_names,
@@ -152,7 +152,7 @@ def test_criterion_3_oracle_equivalence():
     assert len(corpus.entries) <= 200
     forest = build_forest(corpus.entries)
     stances = StanceAssignment.from_truth(corpus.stances)
-    index = build_period_user_index(forest, corpus.partition)
+    index = build_period_user_index(forest, corpus.partition, stances)
     for period in range(corpus.partition.n_periods):
         for user in index.users(period):
             fs1 = compute_fs1(user, period, forest, index, stances).values[:-3]

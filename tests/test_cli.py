@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -92,6 +93,63 @@ class TestStages:
         diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
         assert diagnostics["clamped_timestamps"] == 1
         assert diagnostics["broken_cycles"] == 0
+
+    def test_authors_that_break_tsv_rows_are_malformed(self, pipeline_dir):
+        tmp_path, config = pipeline_dir
+        dump = tmp_path / "synthetic.jsonl"
+        first = json.loads(dump.read_text().splitlines()[0])
+        bad = [{"id": f"bad{i}", "author": author, "body": "#voteleave again",
+                "created_utc": first["created_utc"], "parent_id": first["id"]}
+               for i, author in enumerate(["tab\there", "line\nbreak", "gs\x1dx",
+                                           "ls\u2028x", "nel\x85x"])]
+        with open(dump, "a", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(r) + "\n" for r in bad)
+        for command in ("ingest", "label", "features"):
+            assert run(command, config) == 0, command
+        diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
+        assert diagnostics["malformed_records"] == len(bad)
+
+    def test_unrepresentable_timestamp_is_malformed(self, tmp_path):
+        entries = [Entry(f"e{i}", "solo", "text", 1000000 + i,
+                         None if i == 0 else "e0") for i in range(3)]
+        text = entries_to_jsonl(entries) + json.dumps(
+            {"id": "far", "author": "solo", "body": "x", "created_utc": 1e20,
+             "parent_id": "e0"}) + "\n"
+        (tmp_path / "synthetic.jsonl").write_text(text)
+        config = write_config(tmp_path)
+        assert run("ingest", config) == 0
+        assert run("profile", config) == 0
+        diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
+        assert diagnostics["malformed_records"] == 1
+
+    def test_unexpected_stage_error_is_one_line(self, pipeline_dir, monkeypatch,
+                                                capsys, caplog):
+        import stancecast.cli as cli_mod
+        _, config = pipeline_dir
+
+        def explode(config):
+            raise RuntimeError("disk\ngremlin")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "ingest", explode)
+        caplog.set_level(logging.DEBUG, logger="stancecast.cli")
+        capsys.readouterr()
+        assert run("ingest", config) == 1
+        assert capsys.readouterr().err == "error: RuntimeError: disk gremlin\n"
+        assert any(r.exc_info for r in caplog.records)
+
+    def test_short_feature_row_fails_evaluate_cleanly(self, pipeline_dir):
+        from stancecast.config import PipelineConfig
+        from stancecast.pipeline import PipelineError, run_evaluate
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features"):
+            assert run(command, config) == 0, command
+        table = tmp_path / "features_FS1.tsv"
+        rows = table.read_text().splitlines()
+        rows[1] = rows[1].rsplit("\t", 1)[0]
+        table.write_text("\n".join(rows) + "\n")
+        with pytest.raises(PipelineError, match="line 2"):
+            run_evaluate(PipelineConfig.from_file(config))
+        assert run("evaluate", config) == 1
 
     def test_label_fails_cleanly_without_eligible_users(self, tmp_path):
         entries = [Entry(f"e{i}", f"u{i}", "no hashtags here", 1000000 + i)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stancecast.corpus import Entry, TimePartition, build_forest
+from stancecast.corpus import Entry, TimePartition, build_forest, extract_diffusions
 from stancecast.features import (
     SYMBOLIC_COUNTS,
     assemble_union,
@@ -82,7 +82,7 @@ def build_case():
     stances = assignment({
         ("amy", 0): P, ("ben", 0): A, ("cat", 0): P, ("dan", 0): N,
     })
-    index = build_period_user_index(forest, partition)
+    index = build_period_user_index(forest, partition, stances)
     return forest, index, stances
 
 
@@ -111,8 +111,8 @@ class TestFS1:
         ]
         partition = TimePartition((0, 100))
         forest = build_forest(entries)
-        index = build_period_user_index(forest, partition)
         stances = assignment({(u, 0): N for u in ("amy", "ben", "cat")})
+        index = build_period_user_index(forest, partition, stances)
         fv = compute_fs1("amy", 0, forest, index, stances)
         initiated, submitted = fv.values[0], fv.values[1]
         assert (initiated, submitted) == (1.0, 2.0)
@@ -122,8 +122,9 @@ class TestFS1:
         entries = [Entry("p", "amy", "", 10)]
         partition = TimePartition((0, 100))
         forest = build_forest(entries)
-        index = build_period_user_index(forest, partition)
-        fv = compute_fs1("amy", 0, forest, index, assignment({("amy", 0): A}))
+        stances = assignment({("amy", 0): A})
+        index = build_period_user_index(forest, partition, stances)
+        fv = compute_fs1("amy", 0, forest, index, stances)
         assert fv.values[:7] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_auto_comments_excluded(self):
@@ -151,8 +152,8 @@ class TestFS2:
         entries += [Entry(f"r{i}", f"fan{i}", "", 20 + i, "p") for i in range(4)]
         partition = TimePartition((0, 100))
         forest = build_forest(entries)
-        index = build_period_user_index(forest, partition)
         stances = assignment({("amy", 0): N, **{(f"fan{i}", 0): P for i in range(4)}})
+        index = build_period_user_index(forest, partition, stances)
         fv = compute_fs2("amy", 0, forest, index, stances)
         names = schema_columns("FS2")
         row = dict(zip(names, fv.values))
@@ -172,10 +173,17 @@ class TestFS2:
         assert row["CS_t^N"] == 0.0
 
     def test_missing_stance_for_reply_author_rejected(self):
-        forest, index, _ = build_case()
+        forest, full_index, stances = build_case()
         partial = assignment({("amy", 0): P, ("ben", 0): A, ("cat", 0): P})
+        index = build_period_user_index(forest, TimePartition((0, 100)), partial)
+        # dan replies below amy's comment a2 and is in amy's only thread:
+        # FS1 does not need dan's stance, FS2 and FS3 do.
+        fs1 = compute_fs1("amy", 0, forest, index, partial)
+        assert fs1 == compute_fs1("amy", 0, forest, full_index, stances)
         with pytest.raises(ValueError):
             compute_fs2("amy", 0, forest, index, partial)
+        with pytest.raises(ValueError):
+            compute_fs3("amy", 0, forest, index, partial)
 
     def test_symbolic_count(self):
         assert SYMBOLIC_COUNTS["FS2"] == 19
@@ -195,9 +203,9 @@ class TestFS3:
         ]
         partition = TimePartition((0, 100))
         forest = build_forest(entries)
-        index = build_period_user_index(forest, partition)
         stances = assignment({("ann", 0): A, ("bob", 0): A, ("cal", 0): A,
                               ("pat", 0): P})
+        index = build_period_user_index(forest, partition, stances)
         fv = compute_fs3("pat", 0, forest, index, stances)
         row = dict(zip(schema_columns("FS3"), fv.values))
         for q in range(1, 6):
@@ -218,11 +226,11 @@ class TestFS3:
         ]
         partition = TimePartition((0, 100))
         forest = build_forest(entries)
-        index = build_period_user_index(forest, partition)
         mapping = {("ann", 0): P}
         for user in "uvwxyz":
             mapping[(user, 0)] = A
         stances = assignment(mapping)
+        index = build_period_user_index(forest, partition, stances)
         # Against counts per thread: {1, 5} -> wait, p1 has k1 (1 A),
         # p2 has k2..k6 (5 A); ann herself is P in both.
         fv = compute_fs3("ann", 0, forest, index, stances)
@@ -424,7 +432,7 @@ class TestNaiveOracleEquivalence:
             partition = TimePartition((0, 100, 200, 300))
             forest = build_forest(entries)
             stances = random_stances(rng, entries, partition)
-            index = build_period_user_index(forest, partition)
+            index = build_period_user_index(forest, partition, stances)
             for period in range(partition.n_periods):
                 for user in index.users(period):
                     fs1 = compute_fs1(user, period, forest, index, stances)
@@ -443,7 +451,7 @@ class TestNaiveOracleEquivalence:
         assert len(corpus.entries) <= 200
         forest = build_forest(corpus.entries)
         stances = StanceAssignment.from_truth(corpus.stances)
-        index = build_period_user_index(forest, corpus.partition)
+        index = build_period_user_index(forest, corpus.partition, stances)
         for period in range(corpus.partition.n_periods):
             for user in index.users(period):
                 fs1 = compute_fs1(user, period, forest, index, stances)
@@ -456,6 +464,61 @@ class TestNaiveOracleEquivalence:
                 assert fs2.values[:-3] == n2
                 assert fs3.values[:-3] == n3
 
+    @staticmethod
+    def _assert_matches_oracle(entries, partition, stances):
+        forest = build_forest(entries)
+        index = build_period_user_index(forest, partition, stances)
+        checked = 0
+        for period in range(partition.n_periods):
+            for user in index.users(period):
+                n1, n2, n3 = naive_user_period_features(
+                    user, period, entries, partition.cutoffs, stances.stance)
+                assert compute_fs1(user, period, forest, index, stances).values[:-3] == n1
+                assert compute_fs2(user, period, forest, index, stances).values[:-3] == n2
+                assert compute_fs3(user, period, forest, index, stances).values[:-3] == n3
+                checked += 1
+        return checked
+
+    def test_chain_biased_synthetic_corpus_matches(self):
+        config = SyntheticConfig(n_users=30, n_periods=2, threads_per_period=2,
+                                 entries_per_user=2, chain_bias=1.0)
+        corpus = generate_synthetic_corpus(config, seed=5)
+        forest = build_forest(corpus.entries)
+        depth = max(len(d.entries) for root in forest.roots
+                    for d in extract_diffusions(forest, root))
+        assert depth >= 20
+        stances = StanceAssignment.from_truth(corpus.stances)
+        assert self._assert_matches_oracle(corpus.entries, corpus.partition, stances) > 0
+
+    def test_deep_chain_across_period_boundary_matches(self):
+        # A 300-deep reply chain, one entry per second, cut into two periods
+        # halfway down, with a short side branch every 50 entries.
+        rng = random.Random(9)
+        entries = [Entry("e0", "u0", "", 0)]
+        for i in range(1, 300):
+            entries.append(Entry(f"e{i}", f"u{rng.randrange(7)}", "", i, f"e{i - 1}"))
+        for i in range(0, 300, 50):
+            entries.append(Entry(f"b{i}", f"u{rng.randrange(7)}", "", i, f"e{i}"))
+        partition = TimePartition((0, 150, 300))
+        stances = random_stances(rng, entries, partition)
+        assert self._assert_matches_oracle(entries, partition, stances) > 7
+
+
+class TestIndexChecks:
+    def test_index_of_another_assignment_rejected(self):
+        forest, index, stances = build_case()
+        other = assignment(dict(stances.stance))
+        with pytest.raises(ValueError):
+            compute_fs2("amy", 0, forest, index, other)
+        with pytest.raises(ValueError):
+            compute_fs3("amy", 0, forest, index, other)
+
+    def test_child_earlier_than_parent_rejected(self):
+        forest, _, stances = build_case()
+        forest.entry_index["d1"] = Entry("d1", "dan", "zeta", 5, "a3")
+        with pytest.raises(ValueError, match="earlier than its parent"):
+            build_period_user_index(forest, TimePartition((0, 100)), stances)
+
 
 class TestInvariants:
     def test_identities_on_random_corpora(self):
@@ -467,7 +530,7 @@ class TestInvariants:
             partition = TimePartition((0, 100, 200))
             forest = build_forest(entries)
             stances = random_stances(rng, entries, partition)
-            index = build_period_user_index(forest, partition)
+            index = build_period_user_index(forest, partition, stances)
             for period in range(2):
                 for user in index.users(period):
                     fs1 = dict(zip(names["FS1"],
@@ -501,8 +564,9 @@ class TestInvariants:
         forest = build_forest(entries)
         mapping = {("u", 0): P}
         mapping.update({(f"a{i}", 0): A for i in range(5)})
-        index = build_period_user_index(forest, partition)
-        fv = compute_fs3("u", 0, forest, index, assignment(mapping))
+        stances = assignment(mapping)
+        index = build_period_user_index(forest, partition, stances)
+        fv = compute_fs3("u", 0, forest, index, stances)
         row = dict(zip(schema_columns("FS3"), fv.values))
         for q in range(1, 6):
             assert row[f"UP_t^{{A{q}}}"] >= row[f"UP_t^{{P{q}}}"]
@@ -518,6 +582,25 @@ class TestExportRoundTrip:
             text = feature_table_tsv(tables[set_id])
             back = feature_table_from_tsv(text)
             assert back == tables[set_id]
+
+    @pytest.mark.parametrize("mangle, line", [
+        (lambda rows: rows[:1] + [rows[1].rsplit("\t", 1)[0]] + rows[2:], 2),
+        (lambda rows: rows[:2] + [rows[2] + "\t0.0"] + rows[3:], 3),
+        (lambda rows: ["user\tperiod\tset\t" + rows[0].split("\t", 3)[3]] + rows[1:], 1),
+        (lambda rows: [rows[0].replace("\tf_0\t", "\tf_9\t")] + rows[1:], 1),
+        (lambda rows: rows[:1] + [rows[1].replace("\t0\t", "\tzero\t", 1)] + rows[2:], 2),
+    ])
+    def test_malformed_table_names_the_line(self, mangle, line):
+        forest, _, stances = build_case()
+        tables = extract_all(forest, TimePartition((0, 100)), stances, sets=("FS1",))
+        rows = feature_table_tsv(tables["FS1"]).splitlines()
+        with pytest.raises(ValueError, match=f"^line {line}:"):
+            feature_table_from_tsv("\n".join(mangle(rows)) + "\n")
+
+    def test_empty_table_round_trips(self):
+        assert feature_table_from_tsv(feature_table_tsv([])) == []
+        with pytest.raises(ValueError):
+            feature_table_from_tsv("")
 
     def test_schema_width_matches_vectors(self):
         forest, index, stances = build_case()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stancecast.corpus import Entry, TimePartition
+from stancecast.corpus import Entry, TimePartition, parse_entries
 from stancecast.stance import (
     HashtagLexicon,
     Stance,
@@ -279,6 +280,20 @@ class TestLabelPeriodUsers:
         assert back.stance == assignment.stance
         for key, value in assignment.probability.items():
             assert back.probability[key] == pytest.approx(value, abs=1e-10)
+
+
+def _ingestible_author(author):
+    parsed = parse_entries([json.dumps({"id": "x", "author": author, "created_utc": 0})])
+    return bool(parsed.entries) and parsed.entries[0].author == author
+
+
+@given(st.dictionaries(
+    st.tuples(st.text(min_size=1).filter(_ingestible_author),
+              st.integers(min_value=0, max_value=50)),
+    st.sampled_from(list(Stance)), max_size=20))
+def test_tsv_round_trip_over_ingestible_authors(truth):
+    assignment = StanceAssignment.from_truth(truth)
+    assert StanceAssignment.from_tsv(assignment.to_tsv()).stance == truth
 
 
 def test_label_determinism():
