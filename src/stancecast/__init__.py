@@ -12,7 +12,6 @@ from .corpus import (
     extract_diffusions,
     parse_entries,
     partition_periods,
-    subtree_reply_count,
 )
 from .features import (
     FeatureVector,

@@ -14,7 +14,10 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Optional
+
+from .textprep import preprocess
 
 log = logging.getLogger("stancecast.corpus")
 
@@ -49,6 +52,15 @@ class Entry:
     @property
     def is_post(self) -> bool:
         return self.parent_id is None
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """Preprocessed content, computed once per entry object.
+
+        Preprocessing never joins tokens across a space, so a document's
+        tokens are the concatenation of its entries' tokens.
+        """
+        return tuple(preprocess(self.content))
 
 
 @dataclass
@@ -284,22 +296,6 @@ def extract_diffusions(forest: ThreadForest, root: str) -> list[Diffusion]:
         for child in reversed(kids):
             stack.append((child, path + (child,)))
     return diffusions
-
-
-def iter_descendants(forest: ThreadForest, entry_id: str) -> Iterator[str]:
-    """Yield every descendant of `entry_id` (the entry itself excluded)."""
-    if entry_id not in forest.entry_index:
-        raise KeyError(f"unknown entry id {entry_id!r}")
-    stack = list(forest.children[entry_id])
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(forest.children[node])
-
-
-def subtree_reply_count(forest: ThreadForest, entry_id: str) -> int:
-    """Number of direct or indirect replies below `entry_id`."""
-    return sum(1 for _ in iter_descendants(forest, entry_id))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .corpus import (
     group_user_period,
 )
 from .stance import STANCE_INDEX, STANCE_ORDER, Stance, StanceAssignment
-from .textprep import preprocess
 
 log = logging.getLogger("stancecast.features")
 
@@ -345,7 +344,7 @@ def build_vocab_top_words(entries: Iterable[Entry], limit: int = 100) -> list[st
     """
     counts: Counter[str] = Counter()
     for entry in entries:
-        counts.update(preprocess(entry.content))
+        counts.update(entry.tokens)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     vocab = [token for token, _ in ranked[:limit]]
     if len(vocab) < limit:
@@ -366,8 +365,7 @@ def build_document_index(
     for (user, period), group in group_user_period(entries, partition).items():
         if user == SENTINEL_AUTHOR:
             continue
-        tokens = preprocess(" ".join(e.content for e in group))
-        documents[(user, period)] = Counter(tokens)
+        documents[(user, period)] = Counter(t for e in group for t in e.tokens)
     return documents
 
 

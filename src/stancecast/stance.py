@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import SENTINEL_AUTHOR, Entry, TimePartition, group_user_period
-from .textprep import extract_hashtags, preprocess
+from .textprep import extract_hashtags
 
 log = logging.getLogger("stancecast.stance")
 
@@ -248,11 +248,11 @@ def train_nb(
 
 def nb_leave_probability(model: NBModel, tokens: Sequence[str]) -> float:
     """Posterior probability of the Pro class; unknown tokens are ignored."""
-    scores = model.log_prior.copy()
-    for token in tokens:
-        col = model.vocab_index.get(token)
-        if col is not None:
-            scores = scores + model.log_likelihood[:, col]
+    cols = [col for col in map(model.vocab_index.get, tokens) if col is not None]
+    # cumsum adds the columns one by one in token order, as a running sum
+    # would; a dot product or .sum() could reorder the adds and change bits.
+    terms = np.concatenate((model.log_prior[:, None], model.log_likelihood[:, cols]), axis=1)
+    scores = np.cumsum(terms, axis=1)[:, -1]
     scores -= scores.max()
     probs = np.exp(scores)
     probs /= probs.sum()
@@ -331,8 +331,7 @@ def label_period_users(
     token_totals: dict[int, int] = {}
     oov_totals: dict[int, int] = {}
     for (user, period), group in group_user_period(entries, partition).items():
-        document = " ".join(e.content for e in group)
-        tokens = preprocess(document)
+        tokens = [t for e in group for t in e.tokens]
         token_totals[period] = token_totals.get(period, 0) + len(tokens)
         oov_totals[period] = oov_totals.get(period, 0) + sum(
             1 for t in tokens if t not in model.vocab_index
@@ -378,11 +377,10 @@ def train_weak_supervised(
     stats = collect_user_stats(entries, lexicon, distinct_tags=distinct_tags)
     weak = select_weak_labels(stats, min_messages=min_messages,
                               extreme_fraction=extreme_fraction)
-    texts: dict[str, list[str]] = {user: [] for user in weak}
+    documents: dict[str, list[str]] = {user: [] for user in weak}
     for entry in entries:
-        if entry.author in texts:
-            texts[entry.author].append(entry.content)
-    documents = {user: preprocess(" ".join(parts)) for user, parts in texts.items()}
+        if entry.author in documents:
+            documents[entry.author].extend(entry.tokens)
 
     rng = random.Random(seed)
     train_users: list[str] = []
@@ -406,8 +404,12 @@ def train_weak_supervised(
         for user in eval_users:
             p = nb_leave_probability(model, documents[user])
             predicted.append(Stance.PRO if p >= 0.5 else Stance.AGAINST)
-        actual = [weak[u] for u in eval_users]
-        accuracy, f1 = _binary_macro(actual, predicted)
+        # Imported here: the learning package imports this module.
+        from .learning.evaluation import macro_metrics
+        code = {Stance.AGAINST: 0, Stance.PRO: 1}
+        metrics = macro_metrics([code[s] for s in predicted],
+                                [code[weak[u]] for u in eval_users], n_classes=2)
+        accuracy, f1 = metrics["macro_accuracy"], metrics["macro_f1"]
     log.info("weak-supervised NB: %d labeled users, holdout macro-accuracy %.4f",
              len(weak), accuracy)
     return WeakTrainingResult(
@@ -418,20 +420,3 @@ def train_weak_supervised(
         holdout_macro_accuracy=accuracy,
         holdout_macro_f1=f1,
     )
-
-
-def _binary_macro(actual: list[Stance], predicted: list[Stance]) -> tuple[float, float]:
-    """Macro accuracy and macro F1 over the two weak classes."""
-    accuracies = []
-    f1s = []
-    n = len(actual)
-    for stance in (Stance.AGAINST, Stance.PRO):
-        tp = sum(1 for a, p in zip(actual, predicted) if a == stance and p == stance)
-        fp = sum(1 for a, p in zip(actual, predicted) if a != stance and p == stance)
-        fn = sum(1 for a, p in zip(actual, predicted) if a == stance and p != stance)
-        tn = n - tp - fp - fn
-        accuracies.append((tp + tn) / n)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
-    return sum(accuracies) / 2, sum(f1s) / 2

@@ -8,6 +8,7 @@ stopword list is fixed and shipped below.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 
@@ -224,8 +225,9 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.cache
 def porter_stem(word: str) -> str:
-    """Stem one lowercase word with the Porter procedure."""
+    """Stem one lowercase word with the Porter procedure (memoized: pure str -> str)."""
     if len(word) < 3:
         return word
     word = _step1a(word)

@@ -11,11 +11,11 @@ from stancecast.corpus import (
     entries_to_jsonl,
     extract_diffusions,
     group_user_period,
-    iter_descendants,
     parse_entries,
     partition_periods,
-    subtree_reply_count,
 )
+from stancecast.features import build_period_user_index
+from stancecast.stance import Stance, StanceAssignment
 
 from conftest import make_fig_entries, random_tree_entries
 
@@ -194,6 +194,17 @@ class TestDiffusions:
             assert stamps == sorted(stamps)
 
 
+def one_period_index(forest, stances=None):
+    """Reply tallies over one period that holds every entry of the forest."""
+    stamps = [e.timestamp for e in forest.entry_index.values()]
+    partition = TimePartition((min(stamps), max(stamps) + 1))
+    return build_period_user_index(forest, partition, stances or StanceAssignment())
+
+
+def subtree_reply_count(forest, entry_id):
+    return sum(one_period_index(forest).replies[entry_id])
+
+
 class TestSubtreeReplyCount:
     def test_reference_counts(self, fig_forest):
         assert subtree_reply_count(fig_forest, "n1") == 3
@@ -211,11 +222,11 @@ class TestSubtreeReplyCount:
         for trial in range(20):
             entries = random_tree_entries(rng, rng.randint(1, 50), prefix=f"x{trial}_")
             forest = build_forest(entries)
+            counts = {eid: sum(t) for eid, t in one_period_index(forest).replies.items()}
+            assert counts.keys() == forest.entry_index.keys()
             for eid in forest.entry_index:
                 kids = forest.children[eid]
-                assert subtree_reply_count(forest, eid) == sum(
-                    1 + subtree_reply_count(forest, kid) for kid in kids
-                )
+                assert counts[eid] == sum(1 + counts[kid] for kid in kids)
 
 
 class TestDiffusionInvariants:
@@ -294,5 +305,9 @@ def test_jsonl_round_trip():
     assert parsed.warnings == 0
 
 
-def test_iter_descendants_matches_children_closure(fig_forest):
-    assert set(iter_descendants(fig_forest, "n1")) == {"n3", "n4", "n5"}
+def test_reply_tally_matches_children_closure(fig_forest):
+    # n1's replies are n3 (alice), n4 (dave) and n5 (erin): one of each stance.
+    stances = StanceAssignment.from_truth({
+        ("alice", 0): Stance.AGAINST, ("bob", 0): Stance.PRO,
+        ("carol", 0): Stance.PRO, ("dave", 0): Stance.NEUTRAL, ("erin", 0): Stance.PRO})
+    assert one_period_index(fig_forest, stances).replies["n1"] == (1, 1, 1, 0)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stancecast.textprep import (
     STOPWORDS,
@@ -93,3 +94,26 @@ class TestExtractHashtags:
 
     def test_no_tags(self):
         assert extract_hashtags("plain text") == []
+
+
+# Texts mixing arbitrary Unicode with the pieces the tokenizer treats
+# specially: URLs, hashtags, mentions, combining marks and stopwords.
+_PIECES = st.one_of(
+    st.text(),
+    st.sampled_from(["http://x.y/z", "www.a.b", "#tag", "@who", "e\u0301",
+                     "\u0301", "the", "Running", "caf\u00e9", "\u0130", "\u03a3"]),
+)
+_TEXTS = st.lists(st.lists(_PIECES, max_size=6).map(" ".join), max_size=6)
+
+
+@settings(deadline=None)
+@given(_TEXTS)
+def test_preprocess_of_joined_texts_is_concatenation(texts):
+    # Documents are built from per-entry tokens, which relies on this.
+    assert preprocess(" ".join(texts)) == [t for text in texts for t in preprocess(text)]
+
+
+@settings(deadline=None)
+@given(st.from_regex(r"[a-z]{1,20}", fullmatch=True))
+def test_memoized_stem_matches_unmemoized(word):
+    assert porter_stem(word) == porter_stem.__wrapped__(word)
