@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .trees import ClassificationTree, RegressionTree
+from .trees import Tree, grow, presort
 
 
 def _validate_training(X: np.ndarray, y: np.ndarray) -> None:
@@ -96,7 +96,11 @@ class LogisticRegressionClassifier:
 class KNNClassifier:
     """Brute-force Euclidean k-nearest neighbours with majority vote."""
 
+    BLOCK_ROWS = 256  # distance rows selected at once; bounds the temporaries
+
     def __init__(self, k: int = 5):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         self.k = k
         self.X = None
         self.y = None
@@ -115,11 +119,18 @@ class KNNClassifier:
               + np.sum(self.X**2, axis=1)[None, :]
               - 2.0 * X @ self.X.T)
         out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            # Stable sort: equidistant neighbours resolve by training index.
-            nearest = np.argsort(sq[i], kind="stable")[:k]
-            votes = np.bincount(self.y[nearest], minlength=self.n_classes)
-            out[i] = int(np.argmax(votes))
+        for start in range(0, X.shape[0], self.BLOCK_ROWS):
+            block = sq[start:start + self.BLOCK_ROWS]
+            # The first k of a stable sort: every distance below the k-th
+            # smallest, then the ties at it in training-index order.
+            kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+            below = block < kth
+            at = block == kth
+            room = k - np.count_nonzero(below, axis=1)
+            nearest = below | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+            votes = np.stack([np.count_nonzero(nearest[:, self.y == c], axis=1)
+                              for c in range(self.n_classes)], axis=1)
+            out[start:start + self.BLOCK_ROWS] = np.argmax(votes, axis=1)
         return out
 
 
@@ -170,7 +181,7 @@ class RandomForestClassifier:
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features
-        self.trees: list[ClassificationTree] = []
+        self.trees: list[Tree] = []
         self.n_classes = 0
 
     def _subset_size(self, d: int) -> int:
@@ -190,16 +201,17 @@ class RandomForestClassifier:
         self.trees = []
         n = X.shape[0]
         for _ in range(self.n_trees):
-            sample = rng.integers(0, n, size=n)
-            tree = ClassificationTree(max_depth=self.max_depth, max_features=size)
-            tree.fit(X[sample], y[sample], n_classes, rng)
+            # Rows in draw order: each node sorts only the columns it draws.
+            tree, _ = grow(X, y, rng.integers(0, n, size=n), n_classes=n_classes,
+                           max_depth=self.max_depth, max_features=size, rng=rng)
             self.trees.append(tree)
         return self
 
     def predict(self, X):
         votes = np.zeros((X.shape[0], self.n_classes))
         for tree in self.trees:
-            votes[np.arange(X.shape[0]), tree.predict(X)] += 1.0
+            # argmax keeps the smaller class index on count ties
+            votes[np.arange(X.shape[0]), np.argmax(tree.apply(X), axis=1)] += 1.0
         return np.argmax(votes, axis=1)
 
 
@@ -212,7 +224,7 @@ class GradientBoostingClassifier:
         self.max_depth = max_depth
         self.learning_rate = learning_rate
         self.base_scores = None
-        self.stages: list[list[tuple[RegressionTree, np.ndarray]]] = []
+        self.stages: list[list[tuple[Tree, np.ndarray]]] = []
         self.n_classes = 0
 
     def fit(self, X, y, n_classes, seed=None):
@@ -225,21 +237,23 @@ class GradientBoostingClassifier:
         rates = np.clip(targets.mean(axis=1), 1e-6, 1.0 - 1e-6)
         self.base_scores = np.log(rates / (1.0 - rates))
         scores = np.repeat(self.base_scores[:, None], n, axis=1)
+        rows, presorted = np.arange(n), presort(X)
         self.stages = []
         for _ in range(self.n_trees):
             stage = []
             for c in range(n_classes):
                 p = 1.0 / (1.0 + np.exp(-scores[c]))
                 residual = targets[c] - p
-                tree = RegressionTree(max_depth=self.max_depth).fit(X, residual)
-                leaves = tree.apply(X)
+                tree, leaves = grow(X, residual, rows, presorted, max_depth=self.max_depth)
                 values = np.zeros(tree.n_leaves)
-                for leaf in range(tree.n_leaves):
-                    mask = leaves == leaf
-                    if not np.any(mask):
-                        continue
-                    hessian = float(np.sum(p[mask] * (1.0 - p[mask])))
-                    values[leaf] = float(np.sum(residual[mask])) / max(hessian, 1e-12)
+                # Each leaf's rows in ascending row order, summed leaf by leaf.
+                by_leaf = np.argsort(leaves, kind="stable")
+                bounds = np.cumsum(np.bincount(leaves))[:-1]
+                for leaf, members in enumerate(np.split(by_leaf, bounds)):
+                    if members.size:
+                        p_leaf = p[members]
+                        hessian = float(np.sum(p_leaf * (1.0 - p_leaf)))
+                        values[leaf] = float(np.sum(residual[members])) / max(hessian, 1e-12)
                 values = np.clip(values, -8.0, 8.0)
                 scores[c] += self.learning_rate * values[leaves]
                 stage.append((tree, values))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -181,6 +182,7 @@ def nested_cv(
 
     pooled_pred = np.full(n, -1, dtype=np.int64)
     fold_results: list[FoldResult] = []
+    started = time.perf_counter()
     for fold_idx, test_list in enumerate(outer_folds):
         test_idx = np.array(test_list, dtype=np.int64)
         test_mask = np.zeros(n, dtype=bool)
@@ -237,6 +239,11 @@ def nested_cv(
             metrics=macro_metrics(preds, y[test_idx]),
             n_test=int(test_idx.size),
         ))
+        elapsed = time.perf_counter() - started
+        log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, ETA %.1f s",
+                 spec.family, fold_idx + 1, outer_k, (fold_idx + 1) * search_iters,
+                 outer_k * search_iters, elapsed,
+                 elapsed / (fold_idx + 1) * (outer_k - fold_idx - 1))
 
     if np.any(pooled_pred < 0):
         raise RuntimeError("some instances were never assigned to an outer test fold")

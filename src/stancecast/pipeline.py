@@ -363,15 +363,19 @@ def report_path(config: PipelineConfig) -> Path:
     return config.output_dir / "report.json"
 
 
-def run_evaluate(config: PipelineConfig) -> dict:
-    upstream = _read_stage_hash(config, "features")
-    key = _digest({
+def evaluate_key(config: PipelineConfig) -> str:
+    """Stage key of evaluate: the features hash, the seed and the learning settings."""
+    return _digest({
         "stage": "evaluate",
-        "upstream": upstream,
+        "upstream": _read_stage_hash(config, "features"),
         "seed": config.seed,
         "params": _params_dict(config.learning),
         "sets": list(config.features.sets),
     })
+
+
+def run_evaluate(config: PipelineConfig) -> dict:
+    key = evaluate_key(config)
     if _stage_fresh(config, "evaluate", key, [report_path(config)]):
         log.info("evaluate: cache hit")
         return json.loads(report_path(config).read_text(encoding="utf-8"))
@@ -445,6 +449,9 @@ def run_report(config: PipelineConfig) -> dict:
     path = report_path(config)
     if not path.exists():
         raise PipelineError(f"missing artifact {path}; run evaluate first")
+    if _read_stage_hash(config, "evaluate") != evaluate_key(config):
+        raise PipelineError(f"{path} is stale: the config or an upstream stage changed "
+                            "since evaluate ran; run evaluate again")
     report = json.loads(path.read_text(encoding="utf-8"))
 
     bar_lines = ["family\tset_id\tperiod\tmetric\tmean\tstd"]

@@ -4,7 +4,9 @@ import logging
 import pytest
 
 from stancecast.cli import main
+from stancecast.config import PipelineConfig
 from stancecast.corpus import Entry, entries_to_jsonl
+from stancecast.pipeline import evaluate_key
 
 BASE_CONFIG = {
     "seed": 11,
@@ -178,6 +180,26 @@ class TestCaching:
         assert (tmp_path / "stances.tsv").stat().st_mtime_ns != first
 
 
+    def test_report_refuses_stale_evaluation(self, pipeline_dir, capsys):
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features", "evaluate", "report"):
+            assert run(command, config) == 0, command
+        capsys.readouterr()
+        assert run("report", config, "--set", "seed=99") == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "run evaluate again" in err
+
+    def test_report_requires_evaluate_hash(self, pipeline_dir, capsys):
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features", "evaluate"):
+            assert run(command, config) == 0, command
+        (tmp_path / "evaluate.hash").unlink()
+        capsys.readouterr()
+        assert run("report", config) == 1
+        assert "stage 'evaluate' has not been run" in capsys.readouterr().err
+
+
 class TestPerTransition:
     def test_per_transition_slices_reported(self, pipeline_dir):
         tmp_path, config = pipeline_dir
@@ -299,6 +321,10 @@ def test_report_renders_reference_transition_layout(tmp_path):
     }
     (tmp_path / "report.json").write_text(json.dumps(report), encoding="utf-8")
     config = write_config(tmp_path)
+    # report only renders a report.json whose evaluate stage key is current
+    (tmp_path / "features.hash").write_text("fixture\n", encoding="utf-8")
+    key = evaluate_key(PipelineConfig.from_file(config))
+    (tmp_path / "evaluate.hash").write_text(key + "\n", encoding="utf-8")
     assert run("report", config) == 0
     rows = (tmp_path / "report_transitions.tsv").read_text().strip().splitlines()
     cells = {r.split("\t")[3]: r.split("\t")[4:] for r in rows[1:]}

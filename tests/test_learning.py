@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 
 import numpy as np
@@ -295,6 +296,21 @@ class TestNestedCV:
         a = nested_cv(instances, spec, outer_k=4, inner_k=2, search_iters=3, seed=9)
         b = nested_cv(instances, spec, outer_k=4, inner_k=2, search_iters=3, seed=9)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+    def test_progress_logged_per_outer_fold(self, caplog):
+        instances = noise_instances(4, n=90)
+        spec = ClassifierSpec("gaussian_nb")
+        quiet = nested_cv(instances, spec, outer_k=3, inner_k=2, search_iters=2, seed=4)
+        with caplog.at_level(logging.INFO, logger="stancecast.learning"):
+            logged = nested_cv(instances, spec, outer_k=3, inner_k=2, search_iters=2, seed=4)
+        lines = [r.getMessage() for r in caplog.records if r.name == "stancecast.learning"]
+        assert len(lines) == 3
+        for i, line in enumerate(lines, start=1):
+            assert line.startswith(f"nested_cv gaussian_nb: fold {i}/3, candidates {2 * i}/6, ")
+            assert " s elapsed, ETA " in line
+        assert lines[-1].endswith("ETA 0.0 s")
+        assert json.dumps(logged.to_dict(), sort_keys=True) == \
+            json.dumps(quiet.to_dict(), sort_keys=True)
 
     def test_thin_class_warns_and_still_partitions(self):
         # keep only 3 AGAINST labels, fewer than outer_k
