@@ -14,7 +14,7 @@ from .corpus import (
     partition_periods,
 )
 from .features import (
-    FeatureVector,
+    FeatureTable,
     PeriodUserIndex,
     assemble_union,
     build_period_user_index,

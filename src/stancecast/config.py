@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .learning.classifiers import FAMILIES
+from .synth import SyntheticConfig
 
 # Default period cutoffs for the Brexit subreddit case study: fifteen
 # event-aligned intervals from late 2015 to early 2019.
@@ -56,23 +57,9 @@ class LearningParams:
     spaces: dict[str, dict] = field(default_factory=dict)
 
 
-@dataclass
-class SynthParams:
-    n_users: int = 100
-    n_periods: int = 4
-    threads_per_period: int = 10
-    participation: float = 1.0
-    entries_per_user: int = 2
-    words_per_entry: int = 8
-    stance_word_prob: float = 0.6
-    hashtag_prob: float = 0.25
-    thread_focus: float = 0.5
-    chain_bias: float = 0.0
-    transition_strength: float = 1.0
-    stance_vocab_size: int = 20
-    common_vocab_size: int = 40
-    period_seconds: int = 100_000
-    start_time: int = 1_000_000
+# The CLI's synthetic corpus plants hashtags by default; the library's
+# `SyntheticConfig` does not.
+_SYNTH_DEFAULTS = {"hashtag_prob": 0.25}
 
 
 @dataclass
@@ -85,7 +72,8 @@ class PipelineConfig:
     labeler: LabelerParams = field(default_factory=LabelerParams)
     features: FeatureParams = field(default_factory=FeatureParams)
     learning: LearningParams = field(default_factory=LearningParams)
-    synth: SynthParams = field(default_factory=SynthParams)
+    synth: SyntheticConfig = field(
+        default_factory=lambda: SyntheticConfig(**_SYNTH_DEFAULTS))
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: Optional[list[str]] = None) -> "PipelineConfig":
@@ -131,7 +119,7 @@ class PipelineConfig:
                             coerce={"sets": tuple})
         learning = _section(raw, "learning", LearningParams, problems,
                             coerce={"families": tuple})
-        synth = _section(raw, "synth", SynthParams, problems)
+        synth = _section(raw, "synth", SyntheticConfig, problems, defaults=_SYNTH_DEFAULTS)
 
         for family in learning.families:
             if family not in FAMILIES:
@@ -162,16 +150,18 @@ class PipelineConfig:
             raise ConfigError(f"lexicon path does not exist: {self.lexicon}")
 
 
-def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = ()):
+def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = (),
+             defaults: dict = ()):
     data = raw.get(name, {})
     if not isinstance(data, dict):
         problems.append(f"'{name}' must be a JSON object")
-        return factory()
+        return factory(**dict(defaults))
     known = {f.name for f in factory.__dataclass_fields__.values()}  # type: ignore[attr-defined]
     unknown = set(data) - known
     if unknown:
         problems.append(f"unknown keys in '{name}': {sorted(unknown)}")
-    kwargs: dict[str, Any] = {k: v for k, v in data.items() if k in known}
+    kwargs: dict[str, Any] = dict(defaults)
+    kwargs.update((k, v) for k, v in data.items() if k in known)
     for key, fn in (coerce or {}).items():
         if key in kwargs:
             kwargs[key] = fn(kwargs[key])
@@ -179,7 +169,7 @@ def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = 
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
         problems.append(f"invalid '{name}' section: {exc}")
-        return factory()
+        return factory(**dict(defaults))
 
 
 def _apply_override(raw: dict, override: str) -> None:

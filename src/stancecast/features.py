@@ -4,8 +4,10 @@ Six sets are produced: FS1 activity counts with reply quantiles, FS2 the
 same interactions split by the stance of the counterpart, FS3 the stance
 composition of the threads the user engaged in, FS0 a TF-IDF textual
 baseline over the corpus top words, and the unions FS4 (FS1+FS2+FS3) and
-FS5 (FS0+FS4). Every numeric vector ends with a 3-slot one-hot of the
-user's current stance, shared once inside unions.
+FS5 (FS0+FS4). Each set is one `FeatureTable` whose rows end with a
+3-slot one-hot of the user's current stance, shared once inside unions.
+`compute_fs0`-`compute_fs3` return one row's numeric block; `extract_all`
+stacks the blocks and appends the one-hot.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from math import log as ln
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .corpus import (
     SENTINEL_AUTHOR,
@@ -33,13 +37,15 @@ SET_IDS = ("FS0", "FS1", "FS2", "FS3", "FS4", "FS5")
 # one categorical feature there but occupies three one-hot slots here).
 SYMBOLIC_COUNTS = {"FS0": 101, "FS1": 8, "FS2": 19, "FS3": 16, "FS4": 41, "FS5": 141}
 
+# The unions concatenate the numeric blocks of these sets, in this order,
+# and end with the one-hot once.
+_UNION_PARTS = {"FS4": ("FS1", "FS2", "FS3"), "FS5": ("FS0", "FS1", "FS2", "FS3")}
+
 _QUANTILE_LEVELS = (0.0, 0.25, 0.50, 0.75, 1.0)
 
 
 def numeric_dim(set_id: str, vocab_width: int = 100) -> int:
-    base = {"FS1": 7, "FS2": 18, "FS3": 15, "FS0": vocab_width,
-            "FS4": 40, "FS5": vocab_width + 40}
-    return base[set_id] + 3
+    return len(schema_columns(set_id, vocab_width=vocab_width))
 
 
 def quantiles5(values: Iterable[float]) -> tuple[float, float, float, float, float]:
@@ -60,13 +66,47 @@ def quantiles5(values: Iterable[float]) -> tuple[float, float, float, float, flo
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureRow(NamedTuple):
     user: str
     period: int
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """One feature set: a float64 `values` row per (user, period).
+
+    The last three columns of `values` are the one-hot of each row's
+    current stance; `schema_columns` names the columns. Iterating yields
+    `FeatureRow`s. Tables are equal when every field matches, the values
+    bit for bit.
+    """
+
     set_id: str
-    values: tuple[float, ...]
-    current_stance: Stance
+    users: tuple[str, ...]
+    periods: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self) -> Iterator[FeatureRow]:
+        return map(FeatureRow, self.users, self.periods.tolist(), self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FeatureTable):
+            return NotImplemented
+        return (self.set_id == other.set_id and self.users == other.users
+                and np.array_equal(self.periods, other.periods)
+                and self.values.shape == other.values.shape
+                and self.values.tobytes() == other.values.tobytes())
+
+    @property
+    def current(self) -> np.ndarray:
+        """STANCE_ORDER index of each row's current stance (first argmax of the one-hot)."""
+        if not len(self):
+            return np.zeros(0, dtype=np.int64)
+        return np.argmax(self.values[:, -3:], axis=1)
 
 
 @dataclass(slots=True)
@@ -178,19 +218,6 @@ def build_period_user_index(
         stances=stances)
 
 
-def _stance_onehot(stance: Stance) -> tuple[float, float, float]:
-    onehot = [0.0, 0.0, 0.0]
-    onehot[STANCE_INDEX[stance]] = 1.0
-    return tuple(onehot)
-
-
-def _current_stance(user: str, period: int, stances: StanceAssignment) -> Stance:
-    stance = stances.get(user, period)
-    if stance is None:
-        raise ValueError(f"no stance labeled for {user!r} in period {period}")
-    return stance
-
-
 def _is_auto_comment(forest: ThreadForest, entry: Entry) -> bool:
     # A reply whose immediate parent the same user wrote. Unknown parents
     # cannot be auto-comments.
@@ -220,8 +247,7 @@ def compute_fs1(
     period: int,
     forest: ThreadForest,
     index: PeriodUserIndex,
-    stances: StanceAssignment,
-) -> FeatureVector:
+) -> tuple[float, ...]:
     """Activity features: initiated posts, submitted comments, reply quantiles."""
     activity = index.user_activity(user, period)
     own, comments = _own_entries(forest, activity)
@@ -230,10 +256,7 @@ def compute_fs1(
     if initiated + submitted != len(own):
         raise AssertionError("entry tally does not decompose into posts plus comments")
     reply_counts = [sum(index.replies[eid]) for eid in own]
-    values = (float(initiated), float(submitted), *quantiles5(reply_counts))
-    stance = _current_stance(user, period, stances)
-    return FeatureVector(user=user, period=period, set_id="FS1",
-                         values=values + _stance_onehot(stance), current_stance=stance)
+    return (float(initiated), float(submitted), *quantiles5(reply_counts))
 
 
 def _parent_stance(
@@ -270,7 +293,7 @@ def compute_fs2(
     forest: ThreadForest,
     index: PeriodUserIndex,
     stances: StanceAssignment,
-) -> FeatureVector:
+) -> tuple[float, ...]:
     """Interaction features split by the stance of the counterpart."""
     index.require_stances(stances)
     activity = index.user_activity(user, period)
@@ -300,10 +323,7 @@ def compute_fs2(
     values: list[float] = [float(sent[s]) for s in STANCE_ORDER]
     for counts in received:
         values.extend(quantiles5(counts))
-    stance = _current_stance(user, period, stances)
-    return FeatureVector(user=user, period=period, set_id="FS2",
-                         values=tuple(values) + _stance_onehot(stance),
-                         current_stance=stance)
+    return tuple(values)
 
 
 def compute_fs3(
@@ -312,7 +332,7 @@ def compute_fs3(
     forest: ThreadForest,
     index: PeriodUserIndex,
     stances: StanceAssignment,
-) -> FeatureVector:
+) -> tuple[float, ...]:
     """Stance composition of the threads the user engaged in."""
     index.require_stances(stances)
     activity = index.user_activity(user, period)
@@ -330,10 +350,7 @@ def compute_fs3(
     values: list[float] = []
     for counts in per_thread:
         values.extend(quantiles5(counts))
-    stance = _current_stance(user, period, stances)
-    return FeatureVector(user=user, period=period, set_id="FS3",
-                         values=tuple(values) + _stance_onehot(stance),
-                         current_stance=stance)
+    return tuple(values)
 
 
 def build_vocab_top_words(entries: Iterable[Entry], limit: int = 100) -> list[str]:
@@ -386,43 +403,32 @@ def compute_fs0(
     vocab: Sequence[str],
     idf: Sequence[float],
     documents: Mapping[tuple[str, int], Counter],
-    stances: StanceAssignment,
     width: int = 100,
-) -> FeatureVector:
+) -> tuple[float, ...]:
     """TF-IDF of the top corpus words over the user's period document."""
     counter = documents.get((user, period), Counter())
-    values = [counter.get(word, 0) * idf[i] for i, word in enumerate(vocab)]
+    values = [float(counter.get(word, 0) * idf[i]) for i, word in enumerate(vocab)]
     values.extend(0.0 for _ in range(width - len(vocab)))
-    stance = _current_stance(user, period, stances)
-    return FeatureVector(user=user, period=period, set_id="FS0",
-                         values=tuple(float(v) for v in values) + _stance_onehot(stance),
-                         current_stance=stance)
+    return tuple(values)
 
 
-_UNION_PARTS = {"FS4": ("FS1", "FS2", "FS3"), "FS5": ("FS0", "FS1", "FS2", "FS3")}
-
-
-def assemble_union(vectors: Sequence[FeatureVector], set_id: str) -> FeatureVector:
+def assemble_union(tables: Sequence[FeatureTable], set_id: str) -> FeatureTable:
     """Concatenate constituent numeric blocks, sharing the stance one-hot once."""
     if set_id not in _UNION_PARTS:
         raise ValueError(f"not a union set: {set_id!r}")
-    by_set = {v.set_id: v for v in vectors}
+    by_set = {t.set_id: t for t in tables}
     missing = [part for part in _UNION_PARTS[set_id] if part not in by_set]
     if missing:
         raise ValueError(f"{set_id} needs constituent sets {missing}")
     parts = [by_set[part] for part in _UNION_PARTS[set_id]]
     first = parts[0]
     for other in parts[1:]:
-        if (other.user, other.period) != (first.user, first.period):
-            raise ValueError("union constituents must describe the same user and period")
-        if other.current_stance != first.current_stance:
+        if other.users != first.users or not np.array_equal(other.periods, first.periods):
+            raise ValueError("union constituents must describe the same users and periods")
+        if not np.array_equal(other.values[:, -3:], first.values[:, -3:]):
             raise ValueError("union constituents disagree on the current stance")
-    numeric: list[float] = []
-    for part in parts:
-        numeric.extend(part.values[:-3])
-    return FeatureVector(user=first.user, period=first.period, set_id=set_id,
-                         values=tuple(numeric) + _stance_onehot(first.current_stance),
-                         current_stance=first.current_stance)
+    values = np.hstack([part.values[:, :-3] for part in parts] + [first.values[:, -3:]])
+    return FeatureTable(set_id, first.users, first.periods, values)
 
 
 def extract_all(
@@ -432,22 +438,20 @@ def extract_all(
     sets: Sequence[str] = SET_IDS,
     vocab_width: int = 100,
     vocab: Optional[list[str]] = None,
-) -> dict[str, list[FeatureVector]]:
+) -> dict[str, FeatureTable]:
     """Compute the requested feature sets for every active (user, period).
 
     The sentinel user contributes to everyone else's counts but gets no
-    vectors of its own. Output lists are ordered by (period, user). A
-    precomputed top-word `vocab` skips the corpus scan for FS0/FS5.
+    rows of its own. Rows are ordered by (period, user). A precomputed
+    top-word `vocab` skips the corpus scan for FS0/FS5.
     """
     unknown = [s for s in sets if s not in SET_IDS]
     if unknown:
         raise ValueError(f"unknown feature sets: {unknown}")
     index = build_period_user_index(forest, partition, stances)
     needed = set(sets)
-    if "FS4" in needed:
-        needed.update(("FS1", "FS2", "FS3"))
-    if "FS5" in needed:
-        needed.update(("FS0", "FS1", "FS2", "FS3"))
+    for set_id in sets:
+        needed.update(_UNION_PARTS.get(set_id, ()))
 
     entries = list(forest.entry_index.values())
     idf: list[float] = []
@@ -462,31 +466,36 @@ def extract_all(
     else:
         vocab = vocab or []
 
-    out: dict[str, list[FeatureVector]] = {set_id: [] for set_id in sets}
-    for period in range(partition.n_periods):
-        for user in index.users(period):
-            if user == SENTINEL_AUTHOR:
-                continue
-            computed: dict[str, FeatureVector] = {}
-            if "FS1" in needed:
-                computed["FS1"] = compute_fs1(user, period, forest, index, stances)
-            if "FS2" in needed:
-                computed["FS2"] = compute_fs2(user, period, forest, index, stances)
-            if "FS3" in needed:
-                computed["FS3"] = compute_fs3(user, period, forest, index, stances)
-            if "FS0" in needed:
-                computed["FS0"] = compute_fs0(user, period, vocab, idf, documents,
-                                              stances, width=vocab_width)
-            if "FS4" in needed:
-                computed["FS4"] = assemble_union(
-                    [computed["FS1"], computed["FS2"], computed["FS3"]], "FS4")
-            if "FS5" in needed:
-                computed["FS5"] = assemble_union(
-                    [computed["FS0"], computed["FS1"], computed["FS2"], computed["FS3"]],
-                    "FS5")
-            for set_id in sets:
-                out[set_id].append(computed[set_id])
-    return out
+    keys = [(user, period) for period in range(partition.n_periods)
+            for user in index.users(period) if user != SENTINEL_AUTHOR]
+    onehot = np.zeros((len(keys), len(STANCE_ORDER)))
+    for row, (user, period) in enumerate(keys):
+        stance = stances.get(user, period)
+        if stance is None:
+            raise ValueError(f"no stance labeled for {user!r} in period {period}")
+        onehot[row, STANCE_INDEX[stance]] = 1.0
+    users = tuple(user for user, _ in keys)
+    periods = np.array([period for _, period in keys], dtype=np.int64)
+
+    blocks: dict[str, list[tuple[float, ...]]] = {}
+    if "FS1" in needed:
+        blocks["FS1"] = [compute_fs1(u, t, forest, index) for u, t in keys]
+    if "FS2" in needed:
+        blocks["FS2"] = [compute_fs2(u, t, forest, index, stances) for u, t in keys]
+    if "FS3" in needed:
+        blocks["FS3"] = [compute_fs3(u, t, forest, index, stances) for u, t in keys]
+    if "FS0" in needed:
+        blocks["FS0"] = [compute_fs0(u, t, vocab, idf, documents, width=vocab_width)
+                         for u, t in keys]
+    tables = {}
+    for set_id, rows in blocks.items():
+        numeric = np.array(rows, dtype=np.float64).reshape(
+            len(keys), numeric_dim(set_id, vocab_width) - len(STANCE_ORDER))
+        tables[set_id] = FeatureTable(set_id, users, periods, np.hstack([numeric, onehot]))
+    for set_id in _UNION_PARTS:
+        if set_id in needed:
+            tables[set_id] = assemble_union(list(tables.values()), set_id)
+    return {set_id: tables[set_id] for set_id in sets}
 
 
 # ---------------------------------------------------------------------------
@@ -503,49 +512,38 @@ def _stance_block_names(prefix: str) -> list[str]:
 def schema_columns(set_id: str, vocab: Optional[Sequence[str]] = None,
                    vocab_width: int = 100) -> list[str]:
     """Column names per feature set, in the numeric slot order."""
-    onehot = [f"c_t={s.value}" for s in STANCE_ORDER]
-    fs1 = ["ID_t", "CS_t"] + [f"R_t^{q}" for q in range(1, 6)]
-    fs2 = [f"CS_t^{s.value}" for s in STANCE_ORDER] + _stance_block_names("R_t")
-    fs3 = _stance_block_names("UP_t")
-    if set_id == "FS1":
-        return fs1 + onehot
-    if set_id == "FS2":
-        return fs2 + onehot
-    if set_id == "FS3":
-        return fs3 + onehot
-    if set_id == "FS0":
-        words = list(vocab or [])
-        words += [f"pad{i}" for i in range(vocab_width - len(words))]
-        return [f"tfidf:{w}" for w in words] + onehot
-    if set_id == "FS4":
-        return fs1 + fs2 + fs3 + onehot
-    if set_id == "FS5":
-        return schema_columns("FS0", vocab, vocab_width)[:-3] + fs1 + fs2 + fs3 + onehot
-    raise ValueError(f"unknown feature set {set_id!r}")
+    if set_id not in SET_IDS:
+        raise ValueError(f"unknown feature set {set_id!r}")
+    words = list(vocab or [])
+    words += [f"pad{i}" for i in range(vocab_width - len(words))]
+    numeric = {
+        "FS0": [f"tfidf:{w}" for w in words],
+        "FS1": ["ID_t", "CS_t"] + [f"R_t^{q}" for q in range(1, 6)],
+        "FS2": [f"CS_t^{s.value}" for s in STANCE_ORDER] + _stance_block_names("R_t"),
+        "FS3": _stance_block_names("UP_t"),
+    }
+    columns = [name for part in _UNION_PARTS.get(set_id, (set_id,)) for name in numeric[part]]
+    return columns + [f"c_t={s.value}" for s in STANCE_ORDER]
 
 
-def feature_table_tsv(vectors: Sequence[FeatureVector]) -> str:
+def feature_table_tsv(table: FeatureTable) -> str:
     """Render one feature set as a TSV with a (user, period, set_id, f_*) header."""
-    if not vectors:
+    if not len(table):
         return "user\tperiod\tset_id\n"
-    width = len(vectors[0].values)
-    header = ["user", "period", "set_id"] + [f"f_{i}" for i in range(width)]
+    header = ["user", "period", "set_id"] + [f"f_{i}" for i in range(table.values.shape[1])]
     lines = ["\t".join(header)]
-    for v in vectors:
-        if len(v.values) != width:
-            raise ValueError("mixed dimensions inside one feature table")
-        row = [v.user, str(v.period), v.set_id]
-        # repr is the shortest exact round-trip form of a float
-        row.extend(repr(x) for x in v.values)
-        lines.append("\t".join(row))
+    # tolist() gives Python floats, whose repr is the shortest exact round-trip form
+    for user, period, values in zip(table.users, table.periods.tolist(), table.values.tolist()):
+        lines.append("\t".join([user, str(period), table.set_id, *map(repr, values)]))
     return "\n".join(lines) + "\n"
 
 
-def feature_table_from_tsv(text: str) -> list[FeatureVector]:
+def feature_table_from_tsv(text: str) -> FeatureTable:
     """Parse a table written by `feature_table_tsv`.
 
     Raises `ValueError` naming the line when the header is not
     `user, period, set_id, f_0 ... f_{w-1}` or a row does not fit it.
+    A table without rows comes back with an empty `set_id`.
     """
     lines = [(n, row) for n, row in enumerate(text.splitlines(), start=1) if row.strip()]
     if not lines:
@@ -558,19 +556,20 @@ def feature_table_from_tsv(text: str) -> list[FeatureVector]:
     if width < 3 and len(lines) > 1:
         raise ValueError(f"line {lines[0][0]}: {width} value column(s) cannot hold "
                          "the 3-slot stance one-hot")
-    vectors = []
+    set_id = ""
+    users, periods, rows = [], [], []
     for n, row in lines[1:]:
         cells = row.split("\t")
         if len(cells) != width + 3:
             raise ValueError(f"line {n}: {len(cells)} cells, header has {width + 3}")
+        if users and cells[2] != set_id:
+            raise ValueError(f"line {n}: set_id {cells[2]!r}, the table holds {set_id!r}")
+        set_id = cells[2]
         try:
-            period = int(cells[1])
-            values = tuple(float(c) for c in cells[3:])
-        except ValueError as exc:
+            periods.append(np.int64(int(cells[1])))
+            rows.append([float(c) for c in cells[3:]])
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {n}: {exc}") from None
-        onehot = values[-3:]
-        stance = STANCE_ORDER[max(range(3), key=lambda i: onehot[i])]
-        vectors.append(FeatureVector(user=cells[0], period=period,
-                                     set_id=cells[2], values=values,
-                                     current_stance=stance))
-    return vectors
+        users.append(cells[0])
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    return FeatureTable(set_id, tuple(users), np.array(periods, dtype=np.int64), values)

@@ -14,12 +14,11 @@ from .cv import (
     ClassifierSpec,
     CVResult,
     FoldResult,
-    Instance,
-    instances_to_arrays,
+    LabeledRows,
     make_instances,
     nested_cv,
 )
-from .evaluation import macro_metrics, per_class_f1, transition_f1_matrix
+from .evaluation import macro_metrics, transition_f1_matrix
 
 __all__ = [
     "DEFAULT_SPACES",
@@ -35,11 +34,9 @@ __all__ = [
     "ClassifierSpec",
     "CVResult",
     "FoldResult",
-    "Instance",
-    "instances_to_arrays",
+    "LabeledRows",
     "make_instances",
     "nested_cv",
     "macro_metrics",
-    "per_class_f1",
     "transition_f1_matrix",
 ]

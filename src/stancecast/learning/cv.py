@@ -1,4 +1,4 @@
-"""Supervised instances and the double cross-validation protocol.
+"""Labelled rows and the double cross-validation protocol.
 
 Outer folds estimate generalization; per outer fold, a random
 hyperparameter search scored by inner-fold macro F1 picks a
@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..features import FeatureVector
-from ..stance import STANCE_INDEX, STANCE_ORDER, Stance, StanceAssignment
+from ..features import FeatureTable
+from ..stance import STANCE_INDEX, STANCE_ORDER, StanceAssignment
 from .classifiers import DEFAULT_SPACES, FAMILIES, sample_params, train_predict
 from .evaluation import macro_metrics, transition_f1_matrix
 
@@ -28,11 +28,27 @@ METRIC_NAMES = ("macro_f1", "macro_accuracy", "macro_precision", "macro_recall")
 
 
 @dataclass(frozen=True)
-class Instance:
-    features: FeatureVector
-    label: Stance
-    user: str
-    period: int
+class LabeledRows:
+    """Supervised instances as arrays: row i of `X` has the next stance `y[i]`.
+
+    `y` and `current` hold STANCE_ORDER indices; `users` and `periods`
+    say whose (user, period) each row describes.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    current: np.ndarray
+    users: tuple[str, ...]
+    periods: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def subset(self, mask: np.ndarray) -> "LabeledRows":
+        """The rows where the boolean `mask` holds, in order."""
+        return LabeledRows(X=self.X[mask], y=self.y[mask], current=self.current[mask],
+                           users=tuple(u for u, keep in zip(self.users, mask) if keep),
+                           periods=self.periods[mask])
 
 
 @dataclass(frozen=True)
@@ -49,27 +65,14 @@ class ClassifierSpec:
             raise ValueError("hyperparameter space must be non-empty")
 
 
-def make_instances(
-    vectors: Sequence[FeatureVector], stances: StanceAssignment
-) -> list[Instance]:
-    """Pair each (user, t) vector with the stance at t+1 where it exists."""
-    instances = []
-    for vector in vectors:
-        label = stances.get(vector.user, vector.period + 1)
-        if label is None:
-            continue
-        instances.append(Instance(features=vector, label=label,
-                                  user=vector.user, period=vector.period))
-    return instances
-
-
-def instances_to_arrays(instances: Sequence[Instance]):
-    X = np.array([inst.features.values for inst in instances], dtype=np.float64)
-    y = np.array([STANCE_INDEX[inst.label] for inst in instances], dtype=np.int64)
-    current = np.array([STANCE_INDEX[inst.features.current_stance] for inst in instances],
-                       dtype=np.int64)
-    users = [inst.user for inst in instances]
-    return X, y, current, users
+def make_instances(table: FeatureTable, stances: StanceAssignment) -> LabeledRows:
+    """Pair each (user, t) row with the stance at t+1 where it exists."""
+    y = np.array([STANCE_INDEX.get(stances.get(user, period + 1), -1)
+                  for user, period in zip(table.users, table.periods.tolist())],
+                 dtype=np.int64)
+    rows = LabeledRows(X=table.values, y=y, current=table.current,
+                       users=table.users, periods=table.periods)
+    return rows.subset(y >= 0)
 
 
 def _stratified_folds(y: np.ndarray, k: int, rng: random.Random) -> tuple[list[list[int]], list[str]]:
@@ -148,7 +151,7 @@ class CVResult:
 
 
 def nested_cv(
-    instances: Sequence[Instance],
+    instances: LabeledRows,
     spec: ClassifierSpec,
     outer_k: int = 10,
     inner_k: int = 5,
@@ -165,8 +168,8 @@ def nested_cv(
     """
     if len(instances) < outer_k:
         raise ValueError("need at least one instance per outer fold")
-    X, y, current, users = instances_to_arrays(instances)
-    n = X.shape[0]
+    X, y, current, users = instances.X, instances.y, instances.current, instances.users
+    n = len(instances)
     structure_rng = random.Random(seed)
     if group_by_user:
         if len(set(users)) < outer_k:

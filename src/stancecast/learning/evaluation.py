@@ -13,25 +13,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-def _class_counts(y_true: np.ndarray, y_pred: np.ndarray, c: int) -> tuple[int, int, int, int]:
-    tp = int(np.sum((y_true == c) & (y_pred == c)))
-    fp = int(np.sum((y_true != c) & (y_pred == c)))
-    fn = int(np.sum((y_true == c) & (y_pred != c)))
-    tn = y_true.size - tp - fp - fn
-    return tp, fp, fn, tn
-
-
-def per_class_f1(predictions: Sequence[int], labels: Sequence[int],
-                 n_classes: int = 3) -> list[float]:
-    y_pred = np.asarray(predictions)
-    y_true = np.asarray(labels)
+def _per_class(y_true: np.ndarray, y_pred: np.ndarray,
+               n_classes: int) -> list[tuple[float, float, float, float]]:
+    """(precision, recall, F1, one-vs-rest accuracy) of each class."""
     scores = []
     for c in range(n_classes):
-        tp, fp, fn, _ = _class_counts(y_true, y_pred, c)
+        tp = int(np.sum((y_true == c) & (y_pred == c)))
+        fp = int(np.sum((y_true != c) & (y_pred == c)))
+        fn = int(np.sum((y_true == c) & (y_pred != c)))
+        tn = y_true.size - tp - fp - fn
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        scores.append(2 * precision * recall / (precision + recall)
-                      if precision + recall else 0.0)
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        scores.append((precision, recall, f1, (tp + tn) / y_true.size))
     return scores
 
 
@@ -44,16 +38,7 @@ def macro_metrics(predictions: Sequence[int], labels: Sequence[int],
         raise ValueError("cannot compute metrics on empty input")
     if y_true.size != y_pred.size:
         raise ValueError("predictions and labels must align")
-    precisions, recalls, f1s, accuracies = [], [], [], []
-    for c in range(n_classes):
-        tp, fp, fn, tn = _class_counts(y_true, y_pred, c)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(2 * precision * recall / (precision + recall)
-                   if precision + recall else 0.0)
-        accuracies.append((tp + tn) / y_true.size)
+    precisions, recalls, f1s, accuracies = zip(*_per_class(y_true, y_pred, n_classes))
     return {
         "macro_f1": float(np.mean(f1s)),
         "macro_accuracy": float(np.mean(accuracies)),
@@ -85,5 +70,5 @@ def transition_f1_matrix(
             matrix.append([None] * n_classes)
             missing.append(x)
             continue
-        matrix.append(per_class_f1(y_pred[mask], y_true[mask], n_classes))
+        matrix.append([f1 for _, _, f1, _ in _per_class(y_true[mask], y_pred[mask], n_classes)])
     return matrix, missing

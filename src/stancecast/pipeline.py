@@ -45,7 +45,7 @@ from .stance import (
     label_period_users,
     train_weak_supervised,
 )
-from .synth import SyntheticConfig, SyntheticCorpus, generate_synthetic_corpus, truth_to_tsv
+from .synth import SyntheticCorpus, generate_synthetic_corpus, truth_to_tsv
 
 log = logging.getLogger("stancecast.pipeline")
 
@@ -342,13 +342,13 @@ def run_features(config: PipelineConfig) -> dict:
                  "idf = ln((1+D)/(1+df)) + 1 over all (user, period) documents",
     }
     for set_id in config.features.sets:
-        vectors = tables[set_id]
-        atomic_write_text(feature_table_path(config, set_id), feature_table_tsv(vectors))
+        table = tables[set_id]
+        atomic_write_text(feature_table_path(config, set_id), feature_table_tsv(table))
         columns = schema_columns(set_id, vocab, config.features.vocab_size)
         schema_lines = ["index\tname"] + [f"{i}\t{name}" for i, name in enumerate(columns)]
         atomic_write_text(config.output_dir / f"features_{set_id}.schema.tsv",
                           "\n".join(schema_lines) + "\n")
-        meta["sets"][set_id] = {"vectors": len(vectors), "width": len(columns)}
+        meta["sets"][set_id] = {"vectors": len(table), "width": len(columns)}
     atomic_write_text(config.output_dir / "features.json",
                       json.dumps(meta, indent=2, sort_keys=True) + "\n")
     _finish_stage(config, "features", key)
@@ -385,19 +385,19 @@ def run_evaluate(config: PipelineConfig) -> dict:
     combos = []
     skipped = []
     for set_id in config.features.sets:
-        table = feature_table_path(config, set_id)
-        if not table.exists():
-            raise PipelineError(f"missing artifact {table}; run features first")
+        path = feature_table_path(config, set_id)
+        if not path.exists():
+            raise PipelineError(f"missing artifact {path}; run features first")
         try:
-            vectors = feature_table_from_tsv(table.read_text(encoding="utf-8"))
+            table = feature_table_from_tsv(path.read_text(encoding="utf-8"))
         except ValueError as exc:
-            raise PipelineError(f"{table}: {exc}") from exc
-        instances = make_instances(vectors, stances)
-        if not instances:
+            raise PipelineError(f"{path}: {exc}") from exc
+        instances = make_instances(table, stances)
+        if not len(instances):
             raise PipelineError(f"no supervised instances for {set_id}")
         if params.per_transition:
-            periods = sorted({inst.period for inst in instances})
-            slices = [(t, [i for i in instances if i.period == t]) for t in periods]
+            periods = sorted(set(instances.periods.tolist()))
+            slices = [(t, instances.subset(instances.periods == t)) for t in periods]
         else:
             slices = [(None, instances)]
         for family in params.families:
@@ -483,8 +483,7 @@ def run_report(config: PipelineConfig) -> dict:
 
 def run_synth(config: PipelineConfig) -> SyntheticCorpus:
     """Generate a synthetic corpus plus its ground-truth trajectory sidecar."""
-    synth_config = SyntheticConfig(**_params_dict(config.synth))
-    generated = generate_synthetic_corpus(synth_config, seed=config.seed)
+    generated = generate_synthetic_corpus(config.synth, seed=config.seed)
     atomic_write_text(config.output_dir / "synthetic.jsonl",
                       corpus_mod.entries_to_jsonl(generated.entries))
     atomic_write_text(config.output_dir / "synthetic_truth.tsv", truth_to_tsv(generated))
@@ -495,5 +494,5 @@ def run_synth(config: PipelineConfig) -> SyntheticCorpus:
     atomic_write_text(config.output_dir / "synthetic_cutoffs.json",
                       json.dumps({"cutoffs": iso}, indent=2) + "\n")
     log.info("synth: %d entries over %d periods",
-             len(generated.entries), synth_config.n_periods)
+             len(generated.entries), config.synth.n_periods)
     return generated

@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from stancecast.corpus import Entry, TimePartition, build_forest
+from stancecast.corpus import Entry, TimePartition, build_forest, parse_entries
 from stancecast.stance import STANCE_ORDER, StanceAssignment
 
 
@@ -46,3 +47,9 @@ def random_stances(rng: random.Random, entries, partition: TimePartition) -> Sta
 @pytest.fixture
 def fig_forest():
     return build_forest(make_fig_entries())
+
+
+def ingestible_author(author: str) -> bool:
+    """Ingest keeps `author` as it is: no TSV-breaking character, not a deletion marker."""
+    parsed = parse_entries([json.dumps({"id": "x", "author": author, "created_utc": 0})])
+    return bool(parsed.entries) and parsed.entries[0].author == author

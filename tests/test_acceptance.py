@@ -27,12 +27,13 @@ from stancecast.features import (
 from stancecast.learning.classifiers import train_predict
 from stancecast.learning.cv import (
     ClassifierSpec,
-    Instance,
+    LabeledRows,
     _check_partition,
     make_instances,
     nested_cv,
 )
 from stancecast.stance import (
+    STANCE_INDEX,
     STANCE_ORDER,
     Stance,
     StanceAssignment,
@@ -73,10 +74,10 @@ def test_criterion_1_structural_identities():
         for period in range(2):
             for user in index.users(period):
                 fs1 = dict(zip(fs1_names,
-                               compute_fs1(user, period, forest, index, stances).values))
+                               compute_fs1(user, period, forest, index)))
                 fs2 = dict(zip(fs2_names,
-                               compute_fs2(user, period, forest, index, stances).values))
-                fs3 = compute_fs3(user, period, forest, index, stances).values
+                               compute_fs2(user, period, forest, index, stances)))
+                fs3 = compute_fs3(user, period, forest, index, stances)
                 checked_vectors += 1
                 n_t = len(index.user_activity(user, period).posts) + fs1["CS_t"]
                 if fs1["ID_t"] + fs1["CS_t"] != n_t:
@@ -113,7 +114,7 @@ def test_criterion_2_feature_count_parity():
     forest = build_forest(corpus.entries)
     stances = StanceAssignment.from_truth(corpus.stances)
     tables = extract_all(forest, corpus.partition, stances)
-    widths_ok = all(len(tables[k][0].values) == expected_numeric[k]
+    widths_ok = all(tables[k].values.shape[1] == expected_numeric[k]
                     for k in expected_numeric)
     verdict(2, symbolic_ok and numeric_ok and widths_ok,
             f"symbolic {SYMBOLIC_COUNTS} and realized widths match")
@@ -155,9 +156,9 @@ def test_criterion_3_oracle_equivalence():
     index = build_period_user_index(forest, corpus.partition, stances)
     for period in range(corpus.partition.n_periods):
         for user in index.users(period):
-            fs1 = compute_fs1(user, period, forest, index, stances).values[:-3]
-            fs2 = compute_fs2(user, period, forest, index, stances).values[:-3]
-            fs3 = compute_fs3(user, period, forest, index, stances).values[:-3]
+            fs1 = compute_fs1(user, period, forest, index)
+            fs2 = compute_fs2(user, period, forest, index, stances)
+            fs3 = compute_fs3(user, period, forest, index, stances)
             n1, n2, n3 = naive_user_period_features(
                 user, period, corpus.entries, corpus.partition.cutoffs, corpus.stances)
             if fs1 != n1 or fs2 != n2 or fs3 != n3:
@@ -185,15 +186,15 @@ def test_criterion_3_oracle_equivalence():
 
 def _noise_instances(seed, n=1000, d=8):
     rng = np.random.default_rng(seed)
-    from stancecast.features import FeatureVector
-    instances = []
+    values, current = [], []
     for i in range(n):
-        fv = FeatureVector(user=f"u{i}", period=0, set_id="FS1",
-                           values=tuple(rng.normal(size=d)),
-                           current_stance=STANCE_ORDER[rng.integers(0, 3)])
-        instances.append(Instance(features=fv, label=STANCE_ORDER[i % 3],
-                                  user=f"u{i}", period=0))
-    return instances
+        values.append(tuple(rng.normal(size=d)))
+        current.append(STANCE_INDEX[STANCE_ORDER[rng.integers(0, 3)]])
+    return LabeledRows(X=np.array(values, dtype=np.float64),
+                       y=np.array([i % 3 for i in range(n)], dtype=np.int64),
+                       current=np.array(current, dtype=np.int64),
+                       users=tuple(f"u{i}" for i in range(n)),
+                       periods=np.zeros(n, dtype=np.int64))
 
 
 def test_criterion_4_chance_level():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -302,6 +303,24 @@ def test_synth_cli_writes_truth_and_cutoffs(tmp_path):
     assert (tmp_path / "synthetic_truth.tsv").exists()
     cutoffs = json.loads((tmp_path / "synthetic_cutoffs.json").read_text())
     assert len(cutoffs["cutoffs"]) == BASE_CONFIG["synth"]["n_periods"] + 1
+
+
+def test_invalid_synth_value_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["synth", "--config", str(config), "--set", "synth.participation=2"]) == 2
+    assert "participation must lie in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "synthetic.jsonl").exists()
+
+
+def test_empty_synth_section_keeps_cli_defaults(tmp_path):
+    # The CLI default plants hashtags (hashtag_prob 0.25); the digest pins
+    # the corpus these defaults have always written for seed 11.
+    config = write_config(tmp_path, synth={})
+    assert run("synth", config) == 0
+    text = (tmp_path / "synthetic.jsonl").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == \
+        "7f46b8e6502c95825f603596121e77e1c88e9038163e4f749985acbef6564929"
 
 
 def test_report_renders_reference_transition_layout(tmp_path):

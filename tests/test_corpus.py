@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stancecast.corpus import (
     SENTINEL_AUTHOR,
@@ -17,7 +18,7 @@ from stancecast.corpus import (
 from stancecast.features import build_period_user_index
 from stancecast.stance import Stance, StanceAssignment
 
-from conftest import make_fig_entries, random_tree_entries
+from conftest import ingestible_author, make_fig_entries, random_tree_entries
 
 
 def record(**kwargs):
@@ -303,6 +304,28 @@ def test_jsonl_round_trip():
     parsed = parse_entries(text.splitlines())
     assert parsed.entries == entries
     assert parsed.warnings == 0
+
+
+_RECORDS = st.lists(st.fixed_dictionaries({
+    "id": st.text(min_size=1),
+    "author": st.none() | st.text(min_size=1).filter(ingestible_author),
+    "body": st.text(),
+    "created_utc": st.integers(min_value=0, max_value=4_000_000_000),
+    "parent_id": st.none() | st.text(min_size=1),
+}), max_size=12)
+
+
+@settings(deadline=None)
+@given(_RECORDS)
+def test_jsonl_round_trip_property(records):
+    lines = [json.dumps(r) for r in records if r["parent_id"] != r["id"]]
+    first = parse_entries(lines)
+    assert first.malformed == 0
+    text = entries_to_jsonl(first.entries)
+    second = parse_entries(text.splitlines())
+    assert second.entries == first.entries
+    assert (second.malformed, second.duplicates) == (0, 0)
+    assert entries_to_jsonl(second.entries) == text
 
 
 def test_reply_tally_matches_children_closure(fig_forest):

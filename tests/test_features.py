@@ -1,13 +1,16 @@
+import dataclasses
 import random
 from math import log as ln
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stancecast.corpus import Entry, TimePartition, build_forest, extract_diffusions
 from stancecast.features import (
+    SET_IDS,
     SYMBOLIC_COUNTS,
+    FeatureTable,
     assemble_union,
     build_document_index,
     build_idf,
@@ -27,7 +30,7 @@ from stancecast.features import (
 from stancecast.stance import STANCE_ORDER, Stance, StanceAssignment
 from stancecast.synth import SyntheticConfig, generate_synthetic_corpus
 
-from conftest import random_stances, random_tree_entries
+from conftest import ingestible_author, random_stances, random_tree_entries
 
 A, N, P = Stance.AGAINST, Stance.NEUTRAL, Stance.PRO
 
@@ -113,10 +116,10 @@ class TestFS1:
         forest = build_forest(entries)
         stances = assignment({(u, 0): N for u in ("amy", "ben", "cat")})
         index = build_period_user_index(forest, partition, stances)
-        fv = compute_fs1("amy", 0, forest, index, stances)
-        initiated, submitted = fv.values[0], fv.values[1]
+        fv = compute_fs1("amy", 0, forest, index)
+        initiated, submitted = fv[0], fv[1]
         assert (initiated, submitted) == (1.0, 2.0)
-        assert fv.values[2:7] == (0.0, 0.5, 1.0, 1.5, 2.0)
+        assert fv[2:7] == (0.0, 0.5, 1.0, 1.5, 2.0)
 
     def test_lonely_post(self):
         entries = [Entry("p", "amy", "", 10)]
@@ -124,26 +127,26 @@ class TestFS1:
         forest = build_forest(entries)
         stances = assignment({("amy", 0): A})
         index = build_period_user_index(forest, partition, stances)
-        fv = compute_fs1("amy", 0, forest, index, stances)
-        assert fv.values[:7] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        fv = compute_fs1("amy", 0, forest, index)
+        assert fv[:7] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_auto_comments_excluded(self):
         forest, index, stances = build_case()
-        fv = compute_fs1("amy", 0, forest, index, stances)
+        fv = compute_fs1("amy", 0, forest, index)
         # a1 post; a2 comment; a3 is an auto-comment so not counted
-        assert fv.values[0] == 1.0
-        assert fv.values[1] == 1.0
+        assert fv[0] == 1.0
+        assert fv[1] == 1.0
 
     def test_inactive_user_rejected(self):
         forest, index, stances = build_case()
         with pytest.raises(ValueError):
-            compute_fs1("ghost", 0, forest, index, stances)
+            compute_fs1("ghost", 0, forest, index)
 
     def test_symbolic_count(self):
         assert SYMBOLIC_COUNTS["FS1"] == 8
         forest, index, stances = build_case()
-        fv = compute_fs1("amy", 0, forest, index, stances)
-        assert len(fv.values) == numeric_dim("FS1") == 10
+        fv = compute_fs1("amy", 0, forest, index)
+        assert len(fv) + 3 == numeric_dim("FS1") == 10
 
 
 class TestFS2:
@@ -156,7 +159,7 @@ class TestFS2:
         index = build_period_user_index(forest, partition, stances)
         fv = compute_fs2("amy", 0, forest, index, stances)
         names = schema_columns("FS2")
-        row = dict(zip(names, fv.values))
+        row = dict(zip(names, fv))
         for q in range(1, 6):
             assert row[f"R_t^{{P{q}}}"] == 4.0
             assert row[f"R_t^{{A{q}}}"] == 0.0
@@ -166,7 +169,7 @@ class TestFS2:
         forest, index, stances = build_case()
         fv = compute_fs2("amy", 0, forest, index, stances)
         names = schema_columns("FS2")
-        row = dict(zip(names, fv.values))
+        row = dict(zip(names, fv))
         # amy's one counted comment (a2) sits under ben (Against)
         assert row["CS_t^A"] == 1.0
         assert row["CS_t^P"] == 0.0
@@ -178,8 +181,8 @@ class TestFS2:
         index = build_period_user_index(forest, TimePartition((0, 100)), partial)
         # dan replies below amy's comment a2 and is in amy's only thread:
         # FS1 does not need dan's stance, FS2 and FS3 do.
-        fs1 = compute_fs1("amy", 0, forest, index, partial)
-        assert fs1 == compute_fs1("amy", 0, forest, full_index, stances)
+        fs1 = compute_fs1("amy", 0, forest, index)
+        assert fs1 == compute_fs1("amy", 0, forest, full_index)
         with pytest.raises(ValueError):
             compute_fs2("amy", 0, forest, index, partial)
         with pytest.raises(ValueError):
@@ -189,7 +192,7 @@ class TestFS2:
         assert SYMBOLIC_COUNTS["FS2"] == 19
         forest, index, stances = build_case()
         fv = compute_fs2("amy", 0, forest, index, stances)
-        assert len(fv.values) == numeric_dim("FS2") == 21
+        assert len(fv) + 3 == numeric_dim("FS2") == 21
 
 
 class TestFS3:
@@ -207,7 +210,7 @@ class TestFS3:
                               ("pat", 0): P})
         index = build_period_user_index(forest, partition, stances)
         fv = compute_fs3("pat", 0, forest, index, stances)
-        row = dict(zip(schema_columns("FS3"), fv.values))
+        row = dict(zip(schema_columns("FS3"), fv))
         for q in range(1, 6):
             assert row[f"UP_t^{{A{q}}}"] == 3.0
             assert row[f"UP_t^{{P{q}}}"] == 1.0
@@ -234,14 +237,14 @@ class TestFS3:
         # Against counts per thread: {1, 5} -> wait, p1 has k1 (1 A),
         # p2 has k2..k6 (5 A); ann herself is P in both.
         fv = compute_fs3("ann", 0, forest, index, stances)
-        row = dict(zip(schema_columns("FS3"), fv.values))
+        row = dict(zip(schema_columns("FS3"), fv))
         assert [row[f"UP_t^{{A{q}}}"] for q in range(1, 6)] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert [row[f"UP_t^{{P{q}}}"] for q in range(1, 6)] == [1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_own_entries_counted_in_composition(self):
         forest, index, stances = build_case()
         fv = compute_fs3("dan", 0, forest, index, stances)
-        row = dict(zip(schema_columns("FS3"), fv.values))
+        row = dict(zip(schema_columns("FS3"), fv))
         # the single thread holds amy(P) x3, ben(A), cat(P), dan(N)
         assert row["UP_t^{P1}"] == 4.0
         assert row["UP_t^{A1}"] == 1.0
@@ -251,7 +254,7 @@ class TestFS3:
         assert SYMBOLIC_COUNTS["FS3"] == 16
         forest, index, stances = build_case()
         fv = compute_fs3("amy", 0, forest, index, stances)
-        assert len(fv.values) == numeric_dim("FS3") == 18
+        assert len(fv) + 3 == numeric_dim("FS3") == 18
 
 
 class TestVocabAndFS0:
@@ -277,10 +280,9 @@ class TestVocabAndFS0:
         docs = build_document_index(entries, partition)
         vocab = ["brexit"]
         idf = build_idf(docs, vocab)
-        fv = compute_fs0("amy", 0, vocab, idf, docs, assignment({("amy", 0): N}),
-                         width=100)
-        assert fv.values[:100] == tuple([0.0] * 100)
-        assert len(fv.values) == 103
+        fv = compute_fs0("amy", 0, vocab, idf, docs, width=100)
+        assert fv == tuple([0.0] * 100)
+        assert len(fv) + 3 == numeric_dim("FS0") == 103
 
     def test_word_in_every_document_has_unit_idf(self):
         partition = TimePartition((0, 100))
@@ -290,9 +292,8 @@ class TestVocabAndFS0:
         vocab = ["brexit"]
         idf = build_idf(docs, vocab)
         assert idf[0] == pytest.approx(1.0)
-        fv = compute_fs0("amy", 0, vocab, idf, docs,
-                         assignment({("amy", 0): N, ("ben", 0): N}), width=100)
-        assert fv.values[0] == pytest.approx(2.0)  # tf * idf = 2 * 1
+        fv = compute_fs0("amy", 0, vocab, idf, docs, width=100)
+        assert fv[0] == pytest.approx(2.0)  # tf * idf = 2 * 1
 
     def test_idf_formula(self):
         partition = TimePartition((0, 100))
@@ -309,39 +310,68 @@ class TestVocabAndFS0:
 
 
 class TestUnions:
-    def _vectors(self):
+    def _tables(self):
         forest, index, stances = build_case()
         partition = TimePartition((0, 100))
-        tables = extract_all(forest, partition, stances, sets=("FS0", "FS1", "FS2", "FS3"))
-        return {sid: tables[sid][0] for sid in ("FS0", "FS1", "FS2", "FS3")}
+        return extract_all(forest, partition, stances, sets=("FS0", "FS1", "FS2", "FS3"))
 
     def test_fs4_dimensions(self):
-        vectors = self._vectors()
-        fs4 = assemble_union([vectors["FS1"], vectors["FS2"], vectors["FS3"]], "FS4")
-        assert len(fs4.values) == numeric_dim("FS4") == 43
+        tables = self._tables()
+        fs4 = assemble_union([tables["FS1"], tables["FS2"], tables["FS3"]], "FS4")
+        assert fs4.values.shape == (len(tables["FS1"]), numeric_dim("FS4")) == (4, 43)
         assert SYMBOLIC_COUNTS["FS4"] == 41
 
     def test_fs5_dimensions(self):
-        vectors = self._vectors()
-        fs5 = assemble_union(list(vectors.values()), "FS5")
-        assert len(fs5.values) == numeric_dim("FS5") == 143
+        tables = self._tables()
+        fs5 = assemble_union(list(tables.values()), "FS5")
+        assert fs5.values.shape[1] == numeric_dim("FS5") == 143
         assert SYMBOLIC_COUNTS["FS5"] == 141
 
     def test_onehot_shared_once(self):
-        vectors = self._vectors()
-        fs4 = assemble_union([vectors["FS1"], vectors["FS2"], vectors["FS3"]], "FS4")
-        assert fs4.values[:7] == vectors["FS1"].values[:7]
-        assert fs4.values[7:25] == vectors["FS2"].values[:18]
-        assert fs4.values[25:40] == vectors["FS3"].values[:15]
-        assert sum(fs4.values[40:]) == 1.0
+        tables = self._tables()
+        fs4 = assemble_union([tables["FS1"], tables["FS2"], tables["FS3"]], "FS4")
+        assert fs4.users == tables["FS1"].users
+        assert (fs4.values[:, :7] == tables["FS1"].values[:, :7]).all()
+        assert (fs4.values[:, 7:25] == tables["FS2"].values[:, :18]).all()
+        assert (fs4.values[:, 25:40] == tables["FS3"].values[:, :15]).all()
+        assert (fs4.values[:, 40:] == tables["FS1"].values[:, -3:]).all()
+        assert (fs4.values[:, 40:].sum(axis=1) == 1.0).all()
+
+    def test_matches_extract_all(self):
+        forest, _, stances = build_case()
+        tables = extract_all(forest, TimePartition((0, 100)), stances)
+        assert assemble_union([tables[s] for s in ("FS1", "FS2", "FS3")], "FS4") == tables["FS4"]
+        assert assemble_union([tables[s] for s in ("FS3", "FS0", "FS2", "FS1")], "FS5") \
+            == tables["FS5"]
 
     def test_mismatched_periods_rejected(self):
-        vectors = self._vectors()
-        moved = vectors["FS2"].__class__(user=vectors["FS2"].user, period=5,
-                                         set_id="FS2", values=vectors["FS2"].values,
-                                         current_stance=vectors["FS2"].current_stance)
-        with pytest.raises(ValueError):
-            assemble_union([vectors["FS1"], moved, vectors["FS3"]], "FS4")
+        tables = self._tables()
+        moved = dataclasses.replace(tables["FS2"], periods=tables["FS2"].periods + 5)
+        with pytest.raises(ValueError, match="same users and periods"):
+            assemble_union([tables["FS1"], moved, tables["FS3"]], "FS4")
+
+    def test_mismatched_users_rejected(self):
+        tables = self._tables()
+        renamed = dataclasses.replace(tables["FS3"], users=tables["FS3"].users[::-1])
+        with pytest.raises(ValueError, match="same users and periods"):
+            assemble_union([tables["FS1"], tables["FS2"], renamed], "FS4")
+
+    def test_mismatched_onehot_rejected(self):
+        tables = self._tables()
+        values = tables["FS2"].values.copy()
+        values[0, -3:] = np.roll(values[0, -3:], 1)
+        flipped = dataclasses.replace(tables["FS2"], values=values)
+        with pytest.raises(ValueError, match="current stance"):
+            assemble_union([tables["FS1"], flipped, tables["FS3"]], "FS4")
+
+    def test_missing_constituents_rejected(self):
+        tables = self._tables()
+        with pytest.raises(ValueError, match=r"FS4 needs constituent sets \['FS2'\]"):
+            assemble_union([tables["FS1"], tables["FS3"]], "FS4")
+        with pytest.raises(ValueError, match=r"FS5 needs constituent sets \['FS0'\]"):
+            assemble_union([tables["FS1"], tables["FS2"], tables["FS3"]], "FS5")
+        with pytest.raises(ValueError, match="not a union set"):
+            assemble_union(list(tables.values()), "FS3")
 
 
 def naive_user_period_features(user, period, entries, cutoffs, stance_of):
@@ -435,14 +465,14 @@ class TestNaiveOracleEquivalence:
             index = build_period_user_index(forest, partition, stances)
             for period in range(partition.n_periods):
                 for user in index.users(period):
-                    fs1 = compute_fs1(user, period, forest, index, stances)
+                    fs1 = compute_fs1(user, period, forest, index)
                     fs2 = compute_fs2(user, period, forest, index, stances)
                     fs3 = compute_fs3(user, period, forest, index, stances)
                     n1, n2, n3 = naive_user_period_features(
                         user, period, entries, partition.cutoffs, stances.stance)
-                    assert fs1.values[:-3] == n1
-                    assert fs2.values[:-3] == n2
-                    assert fs3.values[:-3] == n3
+                    assert fs1 == n1
+                    assert fs2 == n2
+                    assert fs3 == n3
 
     def test_synthetic_corpus_matches(self):
         config = SyntheticConfig(n_users=20, n_periods=3, threads_per_period=3,
@@ -454,15 +484,15 @@ class TestNaiveOracleEquivalence:
         index = build_period_user_index(forest, corpus.partition, stances)
         for period in range(corpus.partition.n_periods):
             for user in index.users(period):
-                fs1 = compute_fs1(user, period, forest, index, stances)
+                fs1 = compute_fs1(user, period, forest, index)
                 fs2 = compute_fs2(user, period, forest, index, stances)
                 fs3 = compute_fs3(user, period, forest, index, stances)
                 n1, n2, n3 = naive_user_period_features(
                     user, period, corpus.entries, corpus.partition.cutoffs,
                     corpus.stances)
-                assert fs1.values[:-3] == n1
-                assert fs2.values[:-3] == n2
-                assert fs3.values[:-3] == n3
+                assert fs1 == n1
+                assert fs2 == n2
+                assert fs3 == n3
 
     @staticmethod
     def _assert_matches_oracle(entries, partition, stances):
@@ -473,9 +503,9 @@ class TestNaiveOracleEquivalence:
             for user in index.users(period):
                 n1, n2, n3 = naive_user_period_features(
                     user, period, entries, partition.cutoffs, stances.stance)
-                assert compute_fs1(user, period, forest, index, stances).values[:-3] == n1
-                assert compute_fs2(user, period, forest, index, stances).values[:-3] == n2
-                assert compute_fs3(user, period, forest, index, stances).values[:-3] == n3
+                assert compute_fs1(user, period, forest, index) == n1
+                assert compute_fs2(user, period, forest, index, stances) == n2
+                assert compute_fs3(user, period, forest, index, stances) == n3
                 checked += 1
         return checked
 
@@ -502,6 +532,13 @@ class TestNaiveOracleEquivalence:
         partition = TimePartition((0, 150, 300))
         stances = random_stances(rng, entries, partition)
         assert self._assert_matches_oracle(entries, partition, stances) > 7
+
+
+def test_extract_all_needs_every_current_stance():
+    forest, _, stances = build_case()
+    partial = assignment({k: v for k, v in stances.stance.items() if k[0] != "cat"})
+    with pytest.raises(ValueError, match=r"^no stance labeled for 'cat' in period 0$"):
+        extract_all(forest, TimePartition((0, 100)), partial, sets=("FS1",))
 
 
 class TestIndexChecks:
@@ -534,9 +571,9 @@ class TestInvariants:
             for period in range(2):
                 for user in index.users(period):
                     fs1 = dict(zip(names["FS1"],
-                                   compute_fs1(user, period, forest, index, stances).values))
+                                   compute_fs1(user, period, forest, index)))
                     fs2 = dict(zip(names["FS2"],
-                                   compute_fs2(user, period, forest, index, stances).values))
+                                   compute_fs2(user, period, forest, index, stances)))
                     assert fs2["CS_t^A"] + fs2["CS_t^N"] + fs2["CS_t^P"] == fs1["CS_t"]
 
     def test_entry_order_irrelevant(self):
@@ -567,7 +604,7 @@ class TestInvariants:
         stances = assignment(mapping)
         index = build_period_user_index(forest, partition, stances)
         fv = compute_fs3("u", 0, forest, index, stances)
-        row = dict(zip(schema_columns("FS3"), fv.values))
+        row = dict(zip(schema_columns("FS3"), fv))
         for q in range(1, 6):
             assert row[f"UP_t^{{A{q}}}"] >= row[f"UP_t^{{P{q}}}"]
             assert row[f"UP_t^{{A{q}}}"] >= row[f"UP_t^{{N{q}}}"]
@@ -589,6 +626,8 @@ class TestExportRoundTrip:
         (lambda rows: ["user\tperiod\tset\t" + rows[0].split("\t", 3)[3]] + rows[1:], 1),
         (lambda rows: [rows[0].replace("\tf_0\t", "\tf_9\t")] + rows[1:], 1),
         (lambda rows: rows[:1] + [rows[1].replace("\t0\t", "\tzero\t", 1)] + rows[2:], 2),
+        pytest.param(lambda rows: rows[:2] + [rows[2].replace("\t0\t", f"\t{2**63}\t", 1)]
+                     + rows[3:], 3, id="period-overflow-3"),
     ])
     def test_malformed_table_names_the_line(self, mangle, line):
         forest, _, stances = build_case()
@@ -598,17 +637,53 @@ class TestExportRoundTrip:
             feature_table_from_tsv("\n".join(mangle(rows)) + "\n")
 
     def test_empty_table_round_trips(self):
-        assert feature_table_from_tsv(feature_table_tsv([])) == []
+        empty = FeatureTable("", (), np.zeros(0, dtype=np.int64), np.zeros((0, 0)))
+        assert feature_table_tsv(empty) == "user\tperiod\tset_id\n"
+        assert feature_table_from_tsv(feature_table_tsv(empty)) == empty
+        no_rows = extract_all(build_forest([]), TimePartition((0, 100)), assignment({}),
+                              sets=("FS1",))["FS1"]
+        assert len(no_rows) == 0 and no_rows.values.shape == (0, 10)
+        assert feature_table_tsv(no_rows) == feature_table_tsv(empty)
         with pytest.raises(ValueError):
             feature_table_from_tsv("")
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_tsv_round_trip_property(self, data):
+        width = data.draw(st.integers(min_value=0, max_value=5))
+        floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+        rows = data.draw(st.lists(st.tuples(
+            st.text(min_size=1).filter(ingestible_author),
+            st.integers(min_value=0, max_value=50),
+            st.lists(floats, min_size=width, max_size=width),
+            st.integers(min_value=0, max_value=2)), min_size=1, max_size=12))
+        table = FeatureTable(
+            data.draw(st.sampled_from(SET_IDS)),
+            tuple(user for user, *_ in rows),
+            np.array([period for _, period, *_ in rows], dtype=np.int64),
+            np.array([[*values, *(float(i == k) for i in range(3))]
+                      for *_, values, k in rows], dtype=np.float64))
+        text = feature_table_tsv(table)
+        back = feature_table_from_tsv(text)
+        assert back == table
+        assert feature_table_tsv(back) == text
+
+    def test_mixed_set_ids_rejected(self):
+        forest, _, stances = build_case()
+        tables = extract_all(forest, TimePartition((0, 100)), stances, sets=("FS1",))
+        rows = feature_table_tsv(tables["FS1"]).splitlines()
+        rows[3] = rows[3].replace("\tFS1\t", "\tFS2\t")
+        with pytest.raises(ValueError, match="^line 4: set_id 'FS2'"):
+            feature_table_from_tsv("\n".join(rows) + "\n")
 
     def test_schema_width_matches_vectors(self):
         forest, index, stances = build_case()
         partition = TimePartition((0, 100))
         tables = extract_all(forest, partition, stances)
-        for set_id, vectors in tables.items():
+        for set_id, table in tables.items():
             names = schema_columns(set_id, vocab=None, vocab_width=100)
-            assert len(names) == len(vectors[0].values)
+            assert len(names) == table.values.shape[1]
 
 
 def test_sentinel_user_gets_no_vectors():
@@ -626,5 +701,5 @@ def test_sentinel_user_gets_no_vectors():
     tables = extract_all(forest, partition, stances, sets=("FS1", "FS2"))
     assert [v.user for v in tables["FS1"]] == ["amy"]
     # but the sentinel's reply still counts toward amy's totals
-    row = dict(zip(schema_columns("FS2"), tables["FS2"][0].values))
+    row = dict(zip(schema_columns("FS2"), tables["FS2"].values[0]))
     assert row["R_t^{N5}"] == 1.0

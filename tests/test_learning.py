@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import random
@@ -5,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from stancecast.features import FeatureVector
-from stancecast.stance import STANCE_ORDER, Stance, StanceAssignment
+from stancecast.features import FeatureTable
+from stancecast.stance import STANCE_INDEX, STANCE_ORDER, Stance, StanceAssignment
 from stancecast.learning.classifiers import (
     DEFAULT_SPACES,
     FAMILIES,
@@ -15,7 +16,7 @@ from stancecast.learning.classifiers import (
 )
 from stancecast.learning.cv import (
     ClassifierSpec,
-    Instance,
+    LabeledRows,
     make_instances,
     nested_cv,
 )
@@ -212,11 +213,24 @@ class TestTransitionMatrix:
         assert not missing
 
 
-def vector(user, period, value, current):
-    vals = (float(value), 1.0 if current is A else 0.0,
-            1.0 if current is N else 0.0, 1.0 if current is P else 0.0)
-    return FeatureVector(user=user, period=period, set_id="FS1",
-                         values=vals, current_stance=current)
+def table(rows):
+    """An FS1-shaped table of (user, period, value, current stance) rows."""
+    return FeatureTable(
+        "FS1", tuple(user for user, *_ in rows),
+        np.array([period for _, period, *_ in rows], dtype=np.int64),
+        np.array([(float(value), 1.0 if current is A else 0.0,
+                   1.0 if current is N else 0.0, 1.0 if current is P else 0.0)
+                  for *_, value, current in rows], dtype=np.float64))
+
+
+def labeled_rows(rows):
+    """LabeledRows of (user, period, values, label, current stance) rows."""
+    return LabeledRows(
+        X=np.array([values for _, _, values, _, _ in rows], dtype=np.float64),
+        y=np.array([STANCE_INDEX[label] for *_, label, _ in rows], dtype=np.int64),
+        current=np.array([STANCE_INDEX[current] for *_, current in rows], dtype=np.int64),
+        users=tuple(user for user, *_ in rows),
+        periods=np.array([period for _, period, *_ in rows], dtype=np.int64))
 
 
 class TestMakeInstances:
@@ -224,47 +238,45 @@ class TestMakeInstances:
         stances = StanceAssignment.from_truth({
             ("u", 1): A, ("u", 2): N, ("u", 3): P,
         })
-        vectors = [vector("u", t, 0.0, stances.get("u", t)) for t in (1, 2, 3)]
-        instances = make_instances(vectors, stances)
-        assert [(i.period, i.label) for i in instances] == [(1, N), (2, P)]
+        rows = table([("u", t, 0.0, stances.get("u", t)) for t in (1, 2, 3)])
+        instances = make_instances(rows, stances)
+        assert list(zip(instances.periods.tolist(), instances.y.tolist())) == \
+            [(1, STANCE_INDEX[N]), (2, STANCE_INDEX[P])]
+        assert instances.current.tolist() == [STANCE_INDEX[A], STANCE_INDEX[N]]
+        assert instances.X.tolist() == rows.values[:2].tolist()
 
     def test_gap_produces_nothing(self):
         stances = StanceAssignment.from_truth({("u", 1): A, ("u", 3): P})
-        vectors = [vector("u", 1, 0.0, A), vector("u", 3, 0.0, P)]
-        assert make_instances(vectors, stances) == []
+        rows = table([("u", 1, 0.0, A), ("u", 3, 0.0, P)])
+        assert len(make_instances(rows, stances)) == 0
 
     def test_pooling_over_many_periods(self):
         periods = 15
         stances = StanceAssignment.from_truth(
             {("u", t): STANCE_ORDER[t % 3] for t in range(periods)})
-        vectors = [vector("u", t, float(t), stances.get("u", t))
-                   for t in range(periods)]
-        instances = make_instances(vectors, stances)
+        rows = table([("u", t, float(t), stances.get("u", t)) for t in range(periods)])
+        instances = make_instances(rows, stances)
         assert len(instances) == periods - 1
 
 
 def noise_instances(seed, n=240, d=5):
     rng = np.random.default_rng(seed)
-    instances = []
+    rows = []
     for i in range(n):
         label = STANCE_ORDER[i % 3]
         current = STANCE_ORDER[rng.integers(0, 3)]
-        fv = FeatureVector(user=f"u{i}", period=0, set_id="FS1",
-                           values=tuple(rng.normal(size=d)), current_stance=current)
-        instances.append(Instance(features=fv, label=label, user=f"u{i}", period=0))
-    return instances
+        rows.append((f"u{i}", 0, tuple(rng.normal(size=d)), label, current))
+    return labeled_rows(rows)
 
 
 def planted_instances(seed, n=240):
     rng = np.random.default_rng(seed)
-    instances = []
+    rows = []
     for i in range(n):
         label = STANCE_ORDER[rng.integers(0, 3)]
         value = float(STANCE_ORDER.index(label)) + rng.normal(0, 0.05)
-        fv = FeatureVector(user=f"u{i}", period=0, set_id="FS1",
-                           values=(value, 0.0), current_stance=label)
-        instances.append(Instance(features=fv, label=label, user=f"u{i}", period=0))
-    return instances
+        rows.append((f"u{i}", 0, (value, 0.0), label, label))
+    return labeled_rows(rows)
 
 
 class TestNestedCV:
@@ -315,16 +327,9 @@ class TestNestedCV:
     def test_thin_class_warns_and_still_partitions(self):
         # keep only 3 AGAINST labels, fewer than outer_k
         instances = noise_instances(4, n=63)
-        relabeled = []
-        against_seen = 0
-        for inst in instances:
-            label = inst.label
-            if label is A:
-                against_seen += 1
-                if against_seen > 3:
-                    label = P
-            relabeled.append(Instance(features=inst.features, label=label,
-                                      user=inst.user, period=inst.period))
+        y = instances.y.copy()
+        y[np.nonzero(y == STANCE_INDEX[A])[0][3:]] = STANCE_INDEX[P]
+        relabeled = dataclasses.replace(instances, y=y)
         result = nested_cv(relabeled, ClassifierSpec("gaussian_nb"),
                            outer_k=7, inner_k=2, search_iters=2, seed=0)
         assert any("fewer than" in w for w in result.warnings)
@@ -332,20 +337,16 @@ class TestNestedCV:
 
     def test_group_by_user_keeps_users_whole(self):
         rng = np.random.default_rng(6)
-        instances = []
-        for u in range(30):
-            for t in range(3):
-                fv = FeatureVector(user=f"u{u}", period=t, set_id="FS1",
-                                   values=tuple(rng.normal(size=3)),
-                                   current_stance=STANCE_ORDER[u % 3])
-                instances.append(Instance(features=fv, label=STANCE_ORDER[(u + t) % 3],
-                                          user=f"u{u}", period=t))
+        instances = labeled_rows([
+            (f"u{u}", t, tuple(rng.normal(size=3)), STANCE_ORDER[(u + t) % 3],
+             STANCE_ORDER[u % 3])
+            for u in range(30) for t in range(3)])
         result = nested_cv(instances, ClassifierSpec("gaussian_nb"),
                            outer_k=5, inner_k=2, search_iters=2, seed=3,
                            group_by_user=True)
         fold_of_user = {}
         offset = 0
-        users = [i.user for i in instances]
+        users = list(instances.users)
         for fold in result.folds:
             assert fold.n_test > 0
         # reconstruct fold membership from the partition check inside nested_cv:
@@ -367,14 +368,9 @@ class TestNestedCV:
 
     def test_too_few_users_for_grouping_rejected(self):
         rng = np.random.default_rng(1)
-        instances = []
-        for u in range(3):
-            for t in range(20):
-                fv = FeatureVector(user=f"u{u}", period=t, set_id="FS1",
-                                   values=tuple(rng.normal(size=3)),
-                                   current_stance=STANCE_ORDER[t % 3])
-                instances.append(Instance(features=fv, label=STANCE_ORDER[t % 3],
-                                          user=f"u{u}", period=t))
+        instances = labeled_rows([
+            (f"u{u}", t, tuple(rng.normal(size=3)), STANCE_ORDER[t % 3], STANCE_ORDER[t % 3])
+            for u in range(3) for t in range(20)])
         with pytest.raises(ValueError):
             nested_cv(instances, ClassifierSpec("gaussian_nb"),
                       outer_k=5, inner_k=2, search_iters=1, seed=0,

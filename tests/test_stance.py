@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stancecast.corpus import Entry, TimePartition, parse_entries
+from stancecast.corpus import Entry, TimePartition
 from stancecast.stance import (
     HashtagLexicon,
     Stance,
@@ -22,6 +21,8 @@ from stancecast.stance import (
     train_nb,
     train_weak_supervised,
 )
+
+from conftest import ingestible_author
 
 LEX = HashtagLexicon(pro=frozenset({"leaveeu", "out"}),
                      against=frozenset({"remain", "stay"}))
@@ -282,13 +283,8 @@ class TestLabelPeriodUsers:
             assert back.probability[key] == pytest.approx(value, abs=1e-10)
 
 
-def _ingestible_author(author):
-    parsed = parse_entries([json.dumps({"id": "x", "author": author, "created_utc": 0})])
-    return bool(parsed.entries) and parsed.entries[0].author == author
-
-
 @given(st.dictionaries(
-    st.tuples(st.text(min_size=1).filter(_ingestible_author),
+    st.tuples(st.text(min_size=1).filter(ingestible_author),
               st.integers(min_value=0, max_value=50)),
     st.sampled_from(list(Stance)), max_size=20))
 def test_tsv_round_trip_over_ingestible_authors(truth):
