@@ -81,8 +81,10 @@ def parse_entries(lines: Iterable[str]) -> ParseResult:
     `datetime` can represent) and optionally `body` (or `text`) and
     `parent_id`. Malformed records are counted and skipped; a duplicate id
     keeps the first occurrence. A `null` author is an explicit deletion
-    marker and maps to the sentinel user, while a missing author field, or
-    an author with a tab or a line break, makes the record malformed.
+    marker and maps to the sentinel user, while a missing author field, an
+    author with a tab or a line break, or an author that does not encode to
+    UTF-8 (a lone surrogate such as JSON `"\\ud800"`) makes the record
+    malformed.
     """
     entries: list[Entry] = []
     seen: set[str] = set()
@@ -126,6 +128,10 @@ def _entry_from_record(record: dict) -> Optional[Entry]:
     if author is None:
         author = SENTINEL_AUTHOR
     if not isinstance(author, str) or not _TSV_BREAKING_CHARS.isdisjoint(author):
+        return None
+    try:
+        author.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: stances.tsv could not hold it
         return None
     if author in _DELETED_AUTHOR_VALUES:
         author = SENTINEL_AUTHOR

@@ -9,11 +9,16 @@ instances; the protocol checks that itself on every run.
 
 from __future__ import annotations
 
+import heapq
 import logging
+import multiprocessing
+import os
 import random
 import time
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -165,10 +170,18 @@ def nested_cv(
     `group_by_user` is set). The random search inside each outer fold is
     seeded with `seed + fold index`; the best inner macro F1 wins, first
     configuration on ties.
+
+    Every fit is one task. The folds, inner splits and candidates are all
+    drawn up front; the fits then run on one forked worker per CPU in this
+    process's affinity mask (inline when that is one CPU, or the platform
+    cannot fork), and a fold's refit starts once its search is scored. The
+    result is the same bytes either way, and a failing fit raises the error
+    the first failing fit in serial order raises. A worker that dies ends
+    the call with `concurrent.futures.process.BrokenProcessPool`.
     """
     if len(instances) < outer_k:
         raise ValueError("need at least one instance per outer fold")
-    X, y, current, users = instances.X, instances.y, instances.current, instances.users
+    X, y, users = instances.X, instances.y, instances.users
     n = len(instances)
     structure_rng = random.Random(seed)
     if group_by_user:
@@ -183,81 +196,36 @@ def nested_cv(
 
     _check_partition(outer_folds, n)
 
+    plans = [_plan_fold(instances, spec, test_list, fold_idx, inner_k, search_iters,
+                        seed, group_by_user, warnings)
+             for fold_idx, test_list in enumerate(outer_folds)]
+    n_fits = sum(len(plan.fits) + 1 for plan in plans)
+    workers = _fit_workers(n_fits)
+    if workers == 1:
+        fold_results = _run_plans(plans, partial(_fit_now, spec.family, X, y), 1,
+                                  y, spec.family, search_iters)
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(spec.family, X, y)) as pool:
+            # Two tasks per worker keep each worker's next fit queued.
+            fold_results = _run_plans(plans, partial(pool.submit, _fit_in_worker),
+                                      2 * workers, y, spec.family, search_iters)
+
     pooled_pred = np.full(n, -1, dtype=np.int64)
-    fold_results: list[FoldResult] = []
-    started = time.perf_counter()
-    for fold_idx, test_list in enumerate(outer_folds):
-        test_idx = np.array(test_list, dtype=np.int64)
-        test_mask = np.zeros(n, dtype=bool)
-        test_mask[test_idx] = True
-        train_idx = np.nonzero(~test_mask)[0]
-
-        search_rng = random.Random(seed + fold_idx)
-        if group_by_user:
-            inner_folds = _grouped_folds([users[i] for i in train_idx], inner_k, search_rng)
-        else:
-            inner_folds, inner_warnings = _stratified_folds(y[train_idx], inner_k, search_rng)
-            warnings.extend(inner_warnings)
-        # Fold hygiene: the inner splits must cover exactly the outer
-        # training portion and never touch the test fold.
-        inner_union: set[int] = set()
-        for local in inner_folds:
-            absolute = {int(train_idx[i]) for i in local}
-            if absolute & set(test_list):
-                raise RuntimeError("inner fold leaked outer test instances")
-            inner_union |= absolute
-        if inner_union != set(int(i) for i in train_idx):
-            raise RuntimeError("inner folds do not cover the outer training portion")
-
-        best_params = None
-        best_score = -1.0
-        for iteration in range(search_iters):
-            params = sample_params(spec.space, search_rng)
-            scores = []
-            for inner_i, local_val in enumerate(inner_folds):
-                if not local_val:
-                    continue
-                val_idx = train_idx[np.array(local_val, dtype=np.int64)]
-                val_mask = np.zeros(n, dtype=bool)
-                val_mask[val_idx] = True
-                fit_idx = train_idx[~val_mask[train_idx]]
-                if np.unique(y[fit_idx]).size < 2:
-                    continue
-                preds = train_predict(spec.family, params, X[fit_idx], y[fit_idx],
-                                      X[val_idx],
-                                      seed=_candidate_seed(seed, fold_idx, iteration * inner_k + inner_i))
-                scores.append(macro_metrics(preds, y[val_idx])["macro_f1"])
-            mean_score = float(np.mean(scores)) if scores else -1.0
-            if best_params is None or mean_score > best_score:
-                best_params = params
-                best_score = mean_score
-
-        final_seed = _candidate_seed(seed, fold_idx, search_iters * inner_k + inner_k)
-        preds = train_predict(spec.family, best_params, X[train_idx], y[train_idx],
-                              X[test_idx], seed=final_seed)
-        pooled_pred[test_idx] = preds
-        fold_results.append(FoldResult(
-            fold=fold_idx,
-            params=best_params,
-            metrics=macro_metrics(preds, y[test_idx]),
-            n_test=int(test_idx.size),
-        ))
-        elapsed = time.perf_counter() - started
-        log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, ETA %.1f s",
-                 spec.family, fold_idx + 1, outer_k, (fold_idx + 1) * search_iters,
-                 outer_k * search_iters, elapsed,
-                 elapsed / (fold_idx + 1) * (outer_k - fold_idx - 1))
-
+    for plan, (_, preds) in zip(plans, fold_results):
+        pooled_pred[plan.test_idx] = preds
     if np.any(pooled_pred < 0):
         raise RuntimeError("some instances were never assigned to an outer test fold")
 
-    matrix, missing = transition_f1_matrix(pooled_pred, y, current)
+    folds = [result for result, _ in fold_results]
+    matrix, missing = transition_f1_matrix(pooled_pred, y, instances.current)
     metrics_mean = {
-        name: float(np.mean([f.metrics[name] for f in fold_results]))
+        name: float(np.mean([f.metrics[name] for f in folds]))
         for name in METRIC_NAMES
     }
     metrics_std = {
-        name: float(np.std([f.metrics[name] for f in fold_results]))
+        name: float(np.std([f.metrics[name] for f in folds]))
         for name in METRIC_NAMES
     }
     return CVResult(
@@ -268,11 +236,214 @@ def nested_cv(
         search_iters=search_iters,
         metrics_mean=metrics_mean,
         metrics_std=metrics_std,
-        folds=fold_results,
+        folds=folds,
         transition_f1=matrix,
         transition_missing=[STANCE_ORDER[i].value for i in missing],
         warnings=warnings,
     )
+
+
+class _Fit(NamedTuple):
+    """One fit task: all a worker needs besides the rows it inherits."""
+
+    params: dict
+    fit_idx: np.ndarray
+    eval_idx: np.ndarray
+    seed: int
+
+
+@dataclass(frozen=True)
+class _FoldPlan:
+    """One outer fold's split, its drawn candidates and its search fits.
+
+    `fits` pairs each search fit with its candidate's index, in serial
+    order: candidate-major, then inner split. Inner splits with an empty
+    validation part or a one-class fit part have no fits.
+    """
+
+    test_idx: np.ndarray
+    train_idx: np.ndarray
+    candidates: list[dict]
+    fits: list[tuple[int, _Fit]]
+    refit_seed: int
+
+
+def _plan_fold(instances: LabeledRows, spec: ClassifierSpec, test_list: list[int],
+               fold_idx: int, inner_k: int, search_iters: int, seed: int,
+               group_by_user: bool, warnings: list[str]) -> _FoldPlan:
+    """Draw one outer fold's inner splits and candidates, checking fold hygiene.
+
+    Appends the inner dealing's warnings to `warnings`.
+    """
+    y, n = instances.y, len(instances)
+    test_idx = np.array(test_list, dtype=np.int64)
+    test_mask = np.zeros(n, dtype=bool)
+    test_mask[test_idx] = True
+    train_idx = np.nonzero(~test_mask)[0]
+
+    search_rng = random.Random(seed + fold_idx)
+    if group_by_user:
+        inner_folds = _grouped_folds([instances.users[i] for i in train_idx], inner_k,
+                                     search_rng)
+    else:
+        inner_folds, inner_warnings = _stratified_folds(y[train_idx], inner_k, search_rng)
+        warnings.extend(inner_warnings)
+    # Fold hygiene: the inner splits must cover exactly the outer
+    # training portion and never touch the test fold.
+    inner_union: set[int] = set()
+    for local in inner_folds:
+        absolute = {int(train_idx[i]) for i in local}
+        if absolute & set(test_list):
+            raise RuntimeError("inner fold leaked outer test instances")
+        inner_union |= absolute
+    if inner_union != set(int(i) for i in train_idx):
+        raise RuntimeError("inner folds do not cover the outer training portion")
+
+    splits = []
+    for inner_i, local_val in enumerate(inner_folds):
+        if not local_val:
+            continue
+        val_idx = train_idx[np.array(local_val, dtype=np.int64)]
+        val_mask = np.zeros(n, dtype=bool)
+        val_mask[val_idx] = True
+        fit_idx = train_idx[~val_mask[train_idx]]
+        if np.unique(y[fit_idx]).size < 2:
+            continue
+        splits.append((inner_i, fit_idx, val_idx))
+    candidates = [sample_params(spec.space, search_rng) for _ in range(search_iters)]
+    fits = [(iteration, _Fit(params, fit_idx, val_idx,
+                             _candidate_seed(seed, fold_idx, iteration * inner_k + inner_i)))
+            for iteration, params in enumerate(candidates)
+            for inner_i, fit_idx, val_idx in splits]
+    return _FoldPlan(test_idx=test_idx, train_idx=train_idx, candidates=candidates,
+                     fits=fits, refit_seed=_candidate_seed(seed, fold_idx,
+                                                           search_iters * inner_k + inner_k))
+
+
+def _run_plans(plans: list[_FoldPlan], submit: Callable[..., Future], capacity: int,
+               y: np.ndarray, family: str,
+               search_iters: int) -> list[tuple[FoldResult, np.ndarray]]:
+    """Run every fold's search fits and then its refit; return (result, preds) per fold.
+
+    `submit(*task)` starts one fit and returns its future. At most
+    `capacity` fits run at once, the earliest in serial order first; a
+    fold's refit becomes ready once all its search fits are scored. After
+    a fit fails, only fits that come before it in serial order still start,
+    and the earliest failure's error is raised: the one the serial loop hits.
+    """
+    started = time.perf_counter()
+    ready: list[tuple[int, int, int]] = []  # (serial position, fold, search fit or -1)
+    refit_position = []
+    for fold, plan in enumerate(plans):
+        base = refit_position[-1] + 1 if refit_position else 0
+        ready.extend((base + k, fold, k) for k in range(len(plan.fits)))
+        refit_position.append(base + len(plan.fits))
+    n_fits = refit_position[-1] + 1
+    # Scores stay in serial order: a float mean depends on the order of its terms.
+    scores: list[list[float]] = [[0.0] * len(plan.fits) for plan in plans]
+    unscored = [len(plan.fits) for plan in plans]
+    best_params: list[Optional[dict]] = [None] * len(plans)
+    results: list[Optional[tuple[FoldResult, np.ndarray]]] = [None] * len(plans)
+    running: dict[Future, tuple[int, int, int]] = {}
+    failure: Optional[tuple[int, BaseException]] = None
+    fits_done = logged = 0
+
+    def pick_best(fold: int) -> None:
+        plan = plans[fold]
+        by_candidate: list[list[float]] = [[] for _ in plan.candidates]
+        for (iteration, _), score in zip(plan.fits, scores[fold]):
+            by_candidate[iteration].append(score)
+        best_score = -1.0
+        for params, candidate_scores in zip(plan.candidates, by_candidate):
+            mean_score = float(np.mean(candidate_scores)) if candidate_scores else -1.0
+            if best_params[fold] is None or mean_score > best_score:
+                best_params[fold] = params
+                best_score = mean_score
+        heapq.heappush(ready, (refit_position[fold], fold, -1))
+
+    for fold, plan in enumerate(plans):
+        if not plan.fits:
+            pick_best(fold)
+    while True:
+        limit = failure[0] if failure else n_fits
+        while ready and ready[0][0] < limit and len(running) < capacity:
+            position, fold, k = heapq.heappop(ready)
+            plan = plans[fold]
+            task = (plan.fits[k][1] if k >= 0 else
+                    _Fit(best_params[fold], plan.train_idx, plan.test_idx, plan.refit_seed))
+            running[submit(*task)] = (position, fold, k)
+        if not running:
+            break
+        finished, _ = wait(running, return_when=FIRST_COMPLETED)
+        for future in finished:
+            position, fold, k = running.pop(future)
+            error = future.exception()
+            if error is not None:
+                if failure is None or position < failure[0]:
+                    failure = (position, error)
+                continue
+            fits_done += 1
+            plan = plans[fold]
+            preds = future.result()
+            if k >= 0:
+                scores[fold][k] = macro_metrics(preds, y[plan.fits[k][1].eval_idx])["macro_f1"]
+                unscored[fold] -= 1
+                if not unscored[fold]:
+                    pick_best(fold)
+                continue
+            results[fold] = (FoldResult(fold=fold, params=best_params[fold],
+                                        metrics=macro_metrics(preds, y[plan.test_idx]),
+                                        n_test=int(plan.test_idx.size)), preds)
+            while logged < len(plans) and results[logged] is not None:
+                logged += 1
+                elapsed = time.perf_counter() - started
+                log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, "
+                         "ETA %.1f s", family, logged, len(plans), logged * search_iters,
+                         len(plans) * search_iters, elapsed,
+                         elapsed / fits_done * (n_fits - fits_done))
+    if failure is not None:
+        raise failure[1]
+    return results
+
+
+def _fit_workers(n_fits: int) -> int:
+    """Worker processes for `n_fits` fits: one per CPU in the affinity mask.
+
+    1 means run inline, as on a platform without `sched_getaffinity` or
+    `fork`.
+    """
+    if not hasattr(os, "sched_getaffinity") or \
+            "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_fits)
+
+
+def _fit(family: str, X: np.ndarray, y: np.ndarray, params: dict, fit_idx: np.ndarray,
+         eval_idx: np.ndarray, seed: int) -> np.ndarray:
+    return train_predict(family, params, X[fit_idx], y[fit_idx], X[eval_idx], seed=seed)
+
+
+def _fit_now(family: str, X: np.ndarray, y: np.ndarray, *task) -> Future:
+    """Run one fit inline and hand back its outcome as a finished future."""
+    future: Future = Future()
+    try:
+        future.set_result(_fit(family, X, y, *task))
+    except Exception as exc:  # stored like a worker's error, raised in serial order
+        future.set_exception(exc)
+    return future
+
+
+# Set in each forked worker by `_init_worker`; the parent never sets it.
+_worker_rows: tuple = ()
+
+
+def _init_worker(family: str, X: np.ndarray, y: np.ndarray) -> None:
+    global _worker_rows
+    _worker_rows = (family, X, y)
+
+
+def _fit_in_worker(*task) -> np.ndarray:
+    return _fit(*_worker_rows, *task)
 
 
 def _check_partition(folds: Sequence[Sequence[int]], n: int) -> None:

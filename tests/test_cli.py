@@ -1,6 +1,8 @@
 import hashlib
 import json
 import logging
+import os
+import signal
 
 import pytest
 
@@ -112,6 +114,19 @@ class TestStages:
         diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
         assert diagnostics["malformed_records"] == len(bad)
 
+    def test_surrogate_author_is_malformed(self, pipeline_dir):
+        tmp_path, config = pipeline_dir
+        dump = tmp_path / "synthetic.jsonl"
+        first = json.loads(dump.read_text().splitlines()[0])
+        with open(dump, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "bad", "author": "\ud800bad", "body": "#voteleave",
+                                     "created_utc": first["created_utc"],
+                                     "parent_id": first["id"]}) + "\n")
+        for command in ("ingest", "label"):
+            assert run(command, config) == 0, command
+        diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
+        assert diagnostics["malformed_records"] == 1
+
     def test_unrepresentable_timestamp_is_malformed(self, tmp_path):
         entries = [Entry(f"e{i}", "solo", "text", 1000000 + i,
                          None if i == 0 else "e0") for i in range(3)]
@@ -153,6 +168,60 @@ class TestStages:
         with pytest.raises(PipelineError, match="line 2"):
             run_evaluate(PipelineConfig.from_file(config))
         assert run("evaluate", config) == 1
+
+    def test_failing_fit_in_a_worker_is_skipped_as_inline(self, pipeline_dir, monkeypatch):
+        from stancecast.learning import cv
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features"):
+            assert run(command, config) == 0, command
+        table = tmp_path / "features_FS1.tsv"
+        rows = table.read_text().splitlines()
+        for i in range(1, len(rows), 10):
+            cells = rows[i].split("\t")
+            cells[3] = "nan"
+            rows[i] = "\t".join(cells)
+        table.write_text("\n".join(rows) + "\n")
+        reports = []
+        for workers in (2, 1):
+            monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: workers)
+            (tmp_path / "report.json").unlink(missing_ok=True)
+            assert run("evaluate", config) == 0
+            report = json.loads((tmp_path / "report.json").read_text())
+            reports.append({key: report[key] for key in ("combos", "skipped")})
+        assert reports[0] == reports[1]
+        [skipped] = reports[0]["skipped"]
+        assert skipped["set_id"] == "FS1" and "must be finite" in skipped["reason"]
+        assert [c["set_id"] for c in reports[0]["combos"]] == ["FS3"]
+
+    def test_killed_worker_fails_evaluate_in_one_line(self, pipeline_dir, monkeypatch,
+                                                       capsys):
+        from stancecast.learning import cv
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features"):
+            assert run(command, config) == 0, command
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("a fit ran in the parent")
+
+        def hung(signum, frame):
+            raise TimeoutError("evaluate hung after a worker died")
+
+        monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: 2)
+        monkeypatch.setattr(cv, "train_predict", killed)
+        capsys.readouterr()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            assert run("evaluate", config) == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert err.startswith("error: BrokenProcessPool: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     def test_label_fails_cleanly_without_eligible_users(self, tmp_path):
         entries = [Entry(f"e{i}", f"u{i}", "no hashtags here", 1000000 + i)

@@ -1,0 +1,226 @@
+"""Nested CV on a pool of forked workers against the serial loop.
+
+`nested_cv` draws every fold's inner splits and candidates first, runs each
+fit as one task on one worker per CPU, and merges scores, predictions and
+warnings in serial order. The reference below is the earlier code: one loop
+over outer folds, candidates and inner splits, fitting one after another.
+Every comparison is exact: the same `to_dict()` bytes, or the same error.
+"""
+
+import json
+import random
+import time
+
+import numpy as np
+import pytest
+
+from stancecast.learning import cv
+from stancecast.learning.cv import (
+    METRIC_NAMES,
+    ClassifierSpec,
+    CVResult,
+    FoldResult,
+    LabeledRows,
+    _candidate_seed,
+    _check_partition,
+    _grouped_folds,
+    _stratified_folds,
+    nested_cv,
+)
+from stancecast.learning.evaluation import macro_metrics, transition_f1_matrix
+from stancecast.stance import STANCE_ORDER
+
+
+def reference_nested_cv(instances, spec, outer_k=10, inner_k=5, search_iters=500, seed=0,
+                        group_by_user=False):
+    if len(instances) < outer_k:
+        raise ValueError("need at least one instance per outer fold")
+    X, y, current, users = instances.X, instances.y, instances.current, instances.users
+    n = len(instances)
+    structure_rng = random.Random(seed)
+    if group_by_user:
+        if len(set(users)) < outer_k:
+            raise ValueError("need at least one user per outer fold when grouping by user")
+        outer_folds = _grouped_folds(users, outer_k, structure_rng)
+        warnings = []
+    else:
+        outer_folds, warnings = _stratified_folds(y, outer_k, structure_rng)
+    _check_partition(outer_folds, n)
+
+    pooled_pred = np.full(n, -1, dtype=np.int64)
+    fold_results = []
+    for fold_idx, test_list in enumerate(outer_folds):
+        test_idx = np.array(test_list, dtype=np.int64)
+        test_mask = np.zeros(n, dtype=bool)
+        test_mask[test_idx] = True
+        train_idx = np.nonzero(~test_mask)[0]
+
+        search_rng = random.Random(seed + fold_idx)
+        if group_by_user:
+            inner_folds = _grouped_folds([users[i] for i in train_idx], inner_k, search_rng)
+        else:
+            inner_folds, inner_warnings = _stratified_folds(y[train_idx], inner_k, search_rng)
+            warnings.extend(inner_warnings)
+
+        best_params = None
+        best_score = -1.0
+        for iteration in range(search_iters):
+            params = cv.sample_params(spec.space, search_rng)
+            scores = []
+            for inner_i, local_val in enumerate(inner_folds):
+                if not local_val:
+                    continue
+                val_idx = train_idx[np.array(local_val, dtype=np.int64)]
+                val_mask = np.zeros(n, dtype=bool)
+                val_mask[val_idx] = True
+                fit_idx = train_idx[~val_mask[train_idx]]
+                if np.unique(y[fit_idx]).size < 2:
+                    continue
+                preds = cv.train_predict(
+                    spec.family, params, X[fit_idx], y[fit_idx], X[val_idx],
+                    seed=_candidate_seed(seed, fold_idx, iteration * inner_k + inner_i))
+                scores.append(macro_metrics(preds, y[val_idx])["macro_f1"])
+            mean_score = float(np.mean(scores)) if scores else -1.0
+            if best_params is None or mean_score > best_score:
+                best_params = params
+                best_score = mean_score
+
+        final_seed = _candidate_seed(seed, fold_idx, search_iters * inner_k + inner_k)
+        preds = cv.train_predict(spec.family, best_params, X[train_idx], y[train_idx],
+                                 X[test_idx], seed=final_seed)
+        pooled_pred[test_idx] = preds
+        fold_results.append(FoldResult(fold=fold_idx, params=best_params,
+                                       metrics=macro_metrics(preds, y[test_idx]),
+                                       n_test=int(test_idx.size)))
+
+    matrix, missing = transition_f1_matrix(pooled_pred, y, current)
+    return CVResult(
+        family=spec.family, seed=seed, outer_k=outer_k, inner_k=inner_k,
+        search_iters=search_iters,
+        metrics_mean={name: float(np.mean([f.metrics[name] for f in fold_results]))
+                      for name in METRIC_NAMES},
+        metrics_std={name: float(np.std([f.metrics[name] for f in fold_results]))
+                     for name in METRIC_NAMES},
+        folds=fold_results, transition_f1=matrix,
+        transition_missing=[STANCE_ORDER[i].value for i in missing], warnings=warnings)
+
+
+SPACES = {
+    "logistic_regression": {"l2": ("loguniform", 0.01, 10.0)},
+    "knn": {"k": ("int", 1, 9)},
+    "random_forest": {"n_trees": ("int", 3, 6), "max_depth": ("int", 2, 4),
+                      "max_features": ("choice", ["sqrt"])},
+    "gradient_boosting": {"n_trees": ("int", 3, 6), "max_depth": ("int", 1, 2),
+                          "learning_rate": ("loguniform", 0.05, 0.3)},
+    "gaussian_nb": {},
+}
+
+
+def rows(seed, n_users=30, n_periods=3, d=4, y=None):
+    """Rows with a weak signal in column 0; each user has `n_periods` rows."""
+    rng = np.random.default_rng(seed)
+    n = n_users * n_periods
+    labels = rng.integers(0, 3, size=n) if y is None else np.asarray(y, dtype=np.int64)
+    X = rng.normal(size=(n, d))
+    X[:, 0] += labels
+    return LabeledRows(X=X, y=labels, current=rng.integers(0, 3, size=n),
+                       users=tuple(f"u{i // n_periods}" for i in range(n)),
+                       periods=np.tile(np.arange(n_periods), n_users))
+
+
+def dumps(result):
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def both(instances, spec, **kwargs):
+    """The pooled result and the serial loop's, as `to_dict()` JSON."""
+    return dumps(nested_cv(instances, spec, **kwargs)), \
+        dumps(reference_nested_cv(instances, spec, **kwargs))
+
+
+@pytest.fixture
+def two_workers():
+    if cv._fit_workers(2) < 2:
+        pytest.skip("needs fork and two CPUs in the affinity mask")
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["stratified", "grouped"])
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_same_bytes_as_serial_loop(family, grouped, two_workers):
+    pooled, serial = both(rows(1), ClassifierSpec(family, SPACES[family]), outer_k=3,
+                          inner_k=3, search_iters=3, seed=4, group_by_user=grouped)
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_count_does_not_change_the_result(workers, monkeypatch):
+    instances = rows(2)
+    spec = ClassifierSpec("random_forest", SPACES["random_forest"])
+    serial = dumps(reference_nested_cv(instances, spec, outer_k=4, inner_k=2,
+                                       search_iters=3, seed=7))
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: workers)
+    assert dumps(nested_cv(instances, spec, outer_k=4, inner_k=2, search_iters=3,
+                           seed=7)) == serial
+
+
+def test_thin_class_warnings_keep_serial_order(two_workers):
+    # Two AGAINST rows: fewer than the outer folds and, inside each outer
+    # training portion, fewer than the inner folds.
+    y = np.array([0, 0] + [1, 2] * 44)
+    instances = rows(3, y=y)
+    pooled, serial = both(instances, ClassifierSpec("gaussian_nb"), outer_k=3,
+                          inner_k=3, search_iters=2, seed=0)
+    assert pooled == serial
+    warnings = json.loads(pooled)["warnings"]
+    assert len(warnings) == 4 and all("fewer than" in w for w in warnings)
+
+
+def test_one_class_fit_part_is_skipped_as_in_serial(two_workers):
+    # Class 1 has two rows, which outer_k=2 deals to different folds, so each
+    # outer training portion holds one. The inner split whose validation
+    # part holds it fits on class 0 alone and is skipped.
+    y = np.array([1, 1] + [0] * 58)
+    instances = rows(5, n_users=20, y=y)
+    for family in ("gaussian_nb", "knn"):
+        pooled, serial = both(instances, ClassifierSpec(family, SPACES[family]),
+                              outer_k=2, inner_k=2, search_iters=3, seed=1)
+        assert pooled == serial
+
+
+def test_non_finite_row_raises_the_serial_error(two_workers):
+    instances = rows(6)
+    instances.X[7, 2] = np.nan
+    spec = ClassifierSpec("gaussian_nb")
+    with pytest.raises(ValueError) as serial:
+        reference_nested_cv(instances, spec, outer_k=3, inner_k=2, search_iters=2, seed=2)
+    with pytest.raises(ValueError) as pooled:
+        nested_cv(instances, spec, outer_k=3, inner_k=2, search_iters=2, seed=2)
+    assert str(pooled.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_earliest_failure_in_serial_order_wins(workers, monkeypatch):
+    # Fold 1's search fits fail at once; fold 0's search fits are slow and
+    # its refit, which comes before fold 1 in serial order, fails later.
+    cv_seed, search_iters, inner_k = 3, 2, 2
+    refit_0 = _candidate_seed(cv_seed, 0, search_iters * inner_k + inner_k)
+    fold_1 = {_candidate_seed(cv_seed, 1, i) for i in range(search_iters * inner_k)}
+    fold_0 = {_candidate_seed(cv_seed, 0, i) for i in range(search_iters * inner_k)}
+    real = cv.train_predict
+
+    def flaky(family, params, X, y, X_eval, seed=0):
+        if seed in fold_0:
+            time.sleep(0.2)
+        if seed == refit_0 or seed in fold_1:
+            raise ValueError(f"fit with seed {seed} failed")
+        return real(family, params, X, y, X_eval, seed=seed)
+
+    monkeypatch.setattr(cv, "train_predict", flaky)
+    instances = rows(7)
+    spec = ClassifierSpec("gaussian_nb")
+    kwargs = dict(outer_k=3, inner_k=inner_k, search_iters=search_iters, seed=cv_seed)
+    with pytest.raises(ValueError, match=f"seed {refit_0} failed"):
+        reference_nested_cv(instances, spec, **kwargs)
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: workers)
+    with pytest.raises(ValueError, match=f"seed {refit_0} failed"):
+        nested_cv(instances, spec, **kwargs)
