@@ -1,11 +1,10 @@
-"""Pipeline stages behind the CLI: ingest, profile, label, features, evaluate.
+"""Pipeline stages behind the CLI: ingest, profile, label, features, evaluate, report.
 
-Each stage writes its artifacts plus a hash file keyed by everything the
-stage depends on (its config section and the upstream stage hash), so an
-unchanged rerun is a cache hit and a changed seed invalidates everything
-downstream of the first seeded stage. Files are written to a temporary
-name and atomically renamed; the hash file lands last, so an interrupted
-run never masquerades as a finished stage.
+Every stage but synth is a `Stage` run by `_run_stage`: refuse a stale
+upstream, compute the stage key (its config fields plus the upstream's hash),
+return the recorded summary on a cache hit, and otherwise write every artifact
+atomically and `<stage>.hash` last, so an interrupted run never masquerades as
+a finished stage and a changed seed invalidates everything downstream of it.
 """
 
 from __future__ import annotations
@@ -20,17 +19,11 @@ import tempfile
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import IO, Callable, Iterable
 
 from . import corpus as corpus_mod
 from .config import PipelineConfig
-from .corpus import (
-    Entry,
-    TimePartition,
-    build_forest,
-    parse_entries,
-    partition_periods,
-)
+from .corpus import Entry, TimePartition, build_forest, parse_entries, partition_periods
 from .features import (
     build_vocab_top_words,
     extract_all,
@@ -51,11 +44,11 @@ log = logging.getLogger("stancecast.pipeline")
 
 
 class PipelineError(Exception):
-    """A stage could not run: missing upstream artifact or runtime failure."""
+    """A stage could not run: missing or stale upstream, or runtime failure."""
 
 
 # ---------------------------------------------------------------------------
-# Atomic IO and stage hashing
+# Atomic IO and the stage runner
 # ---------------------------------------------------------------------------
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -85,56 +78,95 @@ def _file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _hash_path(config: PipelineConfig, stage: str) -> Path:
-    return config.output_dir / f"{stage}.hash"
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _stage_fresh(config: PipelineConfig, stage: str, key: str, artifacts: Iterable[Path]) -> bool:
-    hash_file = _hash_path(config, stage)
-    if not hash_file.exists():
-        return False
-    if hash_file.read_text(encoding="utf-8").strip() != key:
-        return False
-    return all(p.exists() for p in artifacts)
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-def _finish_stage(config: PipelineConfig, stage: str, key: str) -> None:
-    atomic_write_text(_hash_path(config, stage), key + "\n")
+Files = Iterable[tuple[str, str]]  # (name, text); a generator holds one text at a time
 
 
-def _read_stage_hash(config: PipelineConfig, stage: str) -> str:
-    hash_file = _hash_path(config, stage)
-    if not hash_file.exists():
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    upstream: str | None
+    key: Callable[[PipelineConfig], dict]  # key fields besides stage and upstream
+    artifacts: tuple[str, ...]  # "{set}" repeats a name for every feature set
+    summary: str  # JSON file returned on a cache hit
+    build: Callable[[PipelineConfig], tuple[Files, dict]]
+
+
+def stage_key(config: PipelineConfig, stage: str) -> str:
+    """Digest of everything `stage` depends on, its upstream's recorded hash included."""
+    spec = STAGES[stage]
+    payload = {"stage": stage, **spec.key(config)}
+    if spec.upstream is not None:
+        payload["upstream"] = _recorded_hash(config, spec.upstream)
+    return _digest(payload)
+
+
+def _recorded_hash(config: PipelineConfig, stage: str) -> str:
+    with _open_artifact(config, stage, f"{stage}.hash") as handle:
+        return handle.read().strip()
+
+
+def _open_artifact(config: PipelineConfig, stage: str, name: str) -> IO[str]:
+    """Open an artifact that `stage` wrote, for reading."""
+    path = config.output_dir / name
+    try:
+        return open(path, encoding="utf-8")
+    except FileNotFoundError:
         raise PipelineError(
-            f"stage '{stage}' has not been run: missing artifact {hash_file}")
-    return hash_file.read_text(encoding="utf-8").strip()
+            f"stage '{stage}' has not been run: missing artifact {path}") from None
 
 
-def _params_dict(params) -> dict:
-    return dataclasses.asdict(params)
+def _stale(config: PipelineConfig, stage: str) -> bool:
+    """Whether `stage` last ran under another key than `config` gives it, or lost an artifact."""
+    sets = config.features.sets
+    artifacts = [config.output_dir / name.format(set=s) for name in STAGES[stage].artifacts
+                 for s in (sets if "{set}" in name else ("",))]
+    return (_recorded_hash(config, stage) != stage_key(config, stage)
+            or not all(path.exists() for path in artifacts))
+
+
+def _run_stage(config: PipelineConfig, stage: str) -> dict:
+    spec, out = STAGES[stage], config.output_dir
+    if spec.upstream is not None and _stale(config, spec.upstream):
+        raise PipelineError(f"stage '{spec.upstream}' is stale: the config or an upstream "
+                            f"stage changed since it ran; run {spec.upstream} again")
+    if (out / f"{stage}.hash").exists() and not _stale(config, stage):
+        log.info("%s: cache hit", stage)
+        return json.loads((out / spec.summary).read_text(encoding="utf-8"))
+    key = stage_key(config, stage)
+    files, summary = spec.build(config)
+    for name, text in files:
+        atomic_write_text(out / name, text)
+    atomic_write_text(out / f"{stage}.hash", key + "\n")
+    return summary
+
+
+def _load_corpus(config: PipelineConfig) -> tuple[list[Entry], TimePartition]:
+    with _open_artifact(config, "ingest", "corpus.jsonl") as handle:
+        return parse_entries(handle).entries, TimePartition.from_iso_dates(config.periods)
+
+
+def _load_stances(config: PipelineConfig) -> StanceAssignment:
+    with _open_artifact(config, "label", "stances.tsv") as handle:
+        return StanceAssignment.from_tsv(handle.read())
 
 
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
 
-def corpus_path(config: PipelineConfig) -> Path:
-    return config.output_dir / "corpus.jsonl"
-
-
-def run_ingest(config: PipelineConfig) -> dict:
-    """Parse the dump, rebuild the forest, partition, persist diagnostics."""
+def _ingest_key(config: PipelineConfig) -> dict:
     config.require_input()
-    key = _digest({
-        "stage": "ingest",
-        "input": _file_digest(config.input),
-        "periods": list(config.periods),
-    })
-    artifacts = [corpus_path(config), config.output_dir / "ingest_diagnostics.json"]
-    if _stage_fresh(config, "ingest", key, artifacts):
-        log.info("ingest: cache hit, reusing %s", artifacts[0])
-        return json.loads(artifacts[1].read_text(encoding="utf-8"))
+    return {"input": _file_digest(config.input), "periods": list(config.periods)}
 
+
+def _build_ingest(config: PipelineConfig) -> tuple[Files, dict]:
     try:
         with open(config.input, encoding="utf-8") as handle:
             parsed = parse_entries(handle)
@@ -155,36 +187,28 @@ def run_ingest(config: PipelineConfig) -> dict:
         "out_of_range_entries": result.discarded,
         "periods": {str(j): len(ids) for j, ids in sorted(result.by_period.items())},
     }
-    atomic_write_text(corpus_path(config), corpus_mod.entries_to_jsonl(repaired))
-    atomic_write_text(artifacts[1], json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
-    _finish_stage(config, "ingest", key)
     log.info("ingest: %d entries, %d threads", diagnostics["entries"], diagnostics["threads"])
-    return diagnostics
+    return [("corpus.jsonl", corpus_mod.entries_to_jsonl(repaired)),
+            ("ingest_diagnostics.json", _json(diagnostics))], diagnostics
 
 
-def load_ingested(config: PipelineConfig) -> tuple[list[Entry], TimePartition]:
-    _read_stage_hash(config, "ingest")
-    path = corpus_path(config)
-    if not path.exists():
-        raise PipelineError(f"missing artifact {path}; run ingest first")
-    with open(path, encoding="utf-8") as handle:
-        parsed = parse_entries(handle)
-    return parsed.entries, TimePartition.from_iso_dates(config.periods)
+def run_ingest(config: PipelineConfig) -> dict:
+    """Parse the dump, rebuild the forest, partition, persist diagnostics."""
+    return _run_stage(config, "ingest")
 
 
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------
 
-def run_profile(config: PipelineConfig) -> dict:
-    """Emit posting-volume, role, and messages-per-user distributions."""
-    entries, _ = load_ingested(config)
+def _build_profile(config: PipelineConfig) -> tuple[Files, dict]:
     monthly: Counter[str] = Counter()
     monthly_posts: Counter[str] = Counter()
     per_user: Counter[str] = Counter()
     initiators: set[str] = set()
     commenters: set[str] = set()
     posts = comments = 0
+    entries, _ = _load_corpus(config)
     for entry in entries:
         month = datetime.fromtimestamp(entry.timestamp, tz=timezone.utc).strftime("%Y-%m")
         monthly[month] += 1
@@ -224,38 +248,31 @@ def run_profile(config: PipelineConfig) -> dict:
         at_least = n_users - bisect.bisect_left(counts, value)
         ccdf_lines.append(f"{value}\t{at_least / n_users:.10g}")
 
-    atomic_write_text(config.output_dir / "profile_monthly.tsv", "\n".join(month_lines) + "\n")
-    atomic_write_text(config.output_dir / "profile_ccdf.tsv", "\n".join(ccdf_lines) + "\n")
-    atomic_write_text(config.output_dir / "profile_summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return summary
+    return [("profile_monthly.tsv", _lines(month_lines)),
+            ("profile_ccdf.tsv", _lines(ccdf_lines)),
+            ("profile_summary.json", _json(summary))], summary
+
+
+def run_profile(config: PipelineConfig) -> dict:
+    """Emit posting-volume, role, and messages-per-user distributions."""
+    return _run_stage(config, "profile")
 
 
 # ---------------------------------------------------------------------------
 # label
 # ---------------------------------------------------------------------------
 
-def stances_path(config: PipelineConfig) -> Path:
-    return config.output_dir / "stances.tsv"
-
-
-def run_label(config: PipelineConfig) -> dict:
-    """Weak-label hashtag extremes, train the text model, label every period."""
+def _label_key(config: PipelineConfig) -> dict:
     config.require_lexicon()
-    upstream = _read_stage_hash(config, "ingest")
-    key = _digest({
-        "stage": "label",
-        "upstream": upstream,
+    return {
         "seed": config.seed,
-        "params": _params_dict(config.labeler),
+        "params": dataclasses.asdict(config.labeler),
         "lexicon": _file_digest(config.lexicon) if config.lexicon else "default",
-    })
-    artifacts = [stances_path(config), config.output_dir / "labeler.json"]
-    if _stage_fresh(config, "label", key, artifacts):
-        log.info("label: cache hit")
-        return json.loads(artifacts[1].read_text(encoding="utf-8"))
+    }
 
-    entries, partition = load_ingested(config)
+
+def _build_label(config: PipelineConfig) -> tuple[Files, dict]:
+    entries, partition = _load_corpus(config)
     lexicon = (HashtagLexicon.from_file(config.lexicon)
                if config.lexicon else HashtagLexicon.default())
     params = config.labeler
@@ -285,43 +302,22 @@ def run_label(config: PipelineConfig) -> dict:
         "labeled_user_periods": len(assignment.stance),
         "oov_rate_per_period": {str(k): v for k, v in sorted(assignment.oov_rate.items())},
     }
-    atomic_write_text(stances_path(config), assignment.to_tsv())
-    atomic_write_text(artifacts[1], json.dumps(diagnostics, indent=2, sort_keys=True) + "\n")
-    _finish_stage(config, "label", key)
-    return diagnostics
+    return [("stances.tsv", assignment.to_tsv()),
+            ("labeler.json", _json(diagnostics))], diagnostics
 
 
-def load_stances(config: PipelineConfig) -> StanceAssignment:
-    _read_stage_hash(config, "label")
-    path = stances_path(config)
-    if not path.exists():
-        raise PipelineError(f"missing artifact {path}; run label first")
-    return StanceAssignment.from_tsv(path.read_text(encoding="utf-8"))
+def run_label(config: PipelineConfig) -> dict:
+    """Weak-label hashtag extremes, train the text model, label every period."""
+    return _run_stage(config, "label")
 
 
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
 
-def feature_table_path(config: PipelineConfig, set_id: str) -> Path:
-    return config.output_dir / f"features_{set_id}.tsv"
-
-
-def run_features(config: PipelineConfig) -> dict:
-    upstream = _read_stage_hash(config, "label")
-    key = _digest({
-        "stage": "features",
-        "upstream": upstream,
-        "params": _params_dict(config.features),
-    })
-    artifacts = [feature_table_path(config, s) for s in config.features.sets]
-    artifacts.append(config.output_dir / "features.json")
-    if _stage_fresh(config, "features", key, artifacts):
-        log.info("features: cache hit")
-        return json.loads(artifacts[-1].read_text(encoding="utf-8"))
-
-    entries, partition = load_ingested(config)
-    stances = load_stances(config)
+def _build_features(config: PipelineConfig) -> tuple[Files, dict]:
+    entries, partition = _load_corpus(config)
+    stances = _load_stances(config)
     forest = build_forest(entries)
     vocab: list[str] = []
     if any(s in ("FS0", "FS5") for s in config.features.sets):
@@ -335,63 +331,53 @@ def run_features(config: PipelineConfig) -> dict:
     except ValueError as exc:
         raise PipelineError(f"feature extraction failed: {exc}") from exc
 
+    columns = {s: schema_columns(s, vocab, config.features.vocab_size)
+               for s in config.features.sets}
     meta = {
-        "sets": {},
+        "sets": {s: {"vectors": len(tables[s]), "width": len(columns[s])} for s in tables},
         "vocab": vocab,
         "tfidf": "tf = raw count in the (user, period) document; "
                  "idf = ln((1+D)/(1+df)) + 1 over all (user, period) documents",
     }
-    for set_id in config.features.sets:
-        table = tables[set_id]
-        atomic_write_text(feature_table_path(config, set_id), feature_table_tsv(table))
-        columns = schema_columns(set_id, vocab, config.features.vocab_size)
-        schema_lines = ["index\tname"] + [f"{i}\t{name}" for i, name in enumerate(columns)]
-        atomic_write_text(config.output_dir / f"features_{set_id}.schema.tsv",
-                          "\n".join(schema_lines) + "\n")
-        meta["sets"][set_id] = {"vectors": len(table), "width": len(columns)}
-    atomic_write_text(config.output_dir / "features.json",
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _finish_stage(config, "features", key)
-    return meta
+
+    def files():
+        for s in config.features.sets:
+            yield f"features_{s}.tsv", feature_table_tsv(tables[s])
+            yield f"features_{s}.schema.tsv", _lines(
+                ["index\tname", *(f"{i}\t{name}" for i, name in enumerate(columns[s]))])
+        yield "features.json", _json(meta)
+
+    return files(), meta
+
+
+def run_features(config: PipelineConfig) -> dict:
+    """Extract the FS0-FS5 feature tables of every labeled user-period."""
+    return _run_stage(config, "features")
 
 
 # ---------------------------------------------------------------------------
 # evaluate / report
 # ---------------------------------------------------------------------------
 
-def report_path(config: PipelineConfig) -> Path:
-    return config.output_dir / "report.json"
-
-
-def evaluate_key(config: PipelineConfig) -> str:
-    """Stage key of evaluate: the features hash, the seed and the learning settings."""
-    return _digest({
-        "stage": "evaluate",
-        "upstream": _read_stage_hash(config, "features"),
+def _evaluate_key(config: PipelineConfig) -> dict:
+    return {
         "seed": config.seed,
-        "params": _params_dict(config.learning),
+        "params": dataclasses.asdict(config.learning),
         "sets": list(config.features.sets),
-    })
+    }
 
 
-def run_evaluate(config: PipelineConfig) -> dict:
-    key = evaluate_key(config)
-    if _stage_fresh(config, "evaluate", key, [report_path(config)]):
-        log.info("evaluate: cache hit")
-        return json.loads(report_path(config).read_text(encoding="utf-8"))
-
-    stances = load_stances(config)
+def _build_evaluate(config: PipelineConfig) -> tuple[Files, dict]:
+    stances = _load_stances(config)
     params = config.learning
     combos = []
     skipped = []
     for set_id in config.features.sets:
-        path = feature_table_path(config, set_id)
-        if not path.exists():
-            raise PipelineError(f"missing artifact {path}; run features first")
-        try:
-            table = feature_table_from_tsv(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise PipelineError(f"{path}: {exc}") from exc
+        with _open_artifact(config, "features", f"features_{set_id}.tsv") as handle:
+            try:
+                table = feature_table_from_tsv(handle.read())
+            except ValueError as exc:
+                raise PipelineError(f"{handle.name}: {exc}") from exc
         instances = make_instances(table, stances)
         if not len(instances):
             raise PipelineError(f"no supervised instances for {set_id}")
@@ -439,42 +425,53 @@ def run_evaluate(config: PipelineConfig) -> dict:
         "combos": combos,
         "skipped": skipped,
     }
-    atomic_write_text(report_path(config), json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _finish_stage(config, "evaluate", key)
-    return report
+    return [("report.json", _json(report))], report
+
+
+def run_evaluate(config: PipelineConfig) -> dict:
+    """Nested cross-validation of every family on every feature set."""
+    return _run_stage(config, "evaluate")
+
+
+def _build_report(config: PipelineConfig) -> tuple[Files, dict]:
+    with _open_artifact(config, "evaluate", "report.json") as handle:
+        report = json.load(handle)
+
+    bars = ["family\tset_id\tperiod\tmetric\tmean\tstd"]
+    transitions = ["family\tset_id\tperiod\tcurrent\tnext_A\tnext_N\tnext_P"]
+    for combo in report["combos"]:
+        head = [combo["family"], combo["set_id"], str(combo.get("period", "pooled"))]
+        for metric in sorted(combo["metrics_mean"]):
+            bars.append("\t".join([*head, metric, f"{combo['metrics_mean'][metric]:.6f}",
+                                   f"{combo['metrics_std'][metric]:.6f}"]))
+        for current, row in zip("ANP", combo["transition_f1"]):
+            cells = ["n/a" if v is None else f"{v:.6f}" for v in row]
+            transitions.append("\t".join([*head, current, *cells]))
+    return [("report_bars.tsv", _lines(bars)),
+            ("report_transitions.tsv", _lines(transitions))], report
 
 
 def run_report(config: PipelineConfig) -> dict:
     """Render plot-ready TSVs from an existing evaluation report."""
-    path = report_path(config)
-    if not path.exists():
-        raise PipelineError(f"missing artifact {path}; run evaluate first")
-    if _read_stage_hash(config, "evaluate") != evaluate_key(config):
-        raise PipelineError(f"{path} is stale: the config or an upstream stage changed "
-                            "since evaluate ran; run evaluate again")
-    report = json.loads(path.read_text(encoding="utf-8"))
+    return _run_stage(config, "report")
 
-    bar_lines = ["family\tset_id\tperiod\tmetric\tmean\tstd"]
-    for combo in report["combos"]:
-        period = str(combo.get("period", "pooled"))
-        for metric in sorted(combo["metrics_mean"]):
-            bar_lines.append("\t".join([
-                combo["family"], combo["set_id"], period, metric,
-                f"{combo['metrics_mean'][metric]:.6f}",
-                f"{combo['metrics_std'][metric]:.6f}",
-            ]))
-    atomic_write_text(config.output_dir / "report_bars.tsv", "\n".join(bar_lines) + "\n")
 
-    stances = ("A", "N", "P")
-    tr_lines = ["family\tset_id\tperiod\tcurrent\tnext_A\tnext_N\tnext_P"]
-    for combo in report["combos"]:
-        period = str(combo.get("period", "pooled"))
-        for i, row in enumerate(combo["transition_f1"]):
-            cells = ["n/a" if v is None else f"{v:.6f}" for v in row]
-            tr_lines.append("\t".join([combo["family"], combo["set_id"],
-                                       period, stances[i], *cells]))
-    atomic_write_text(config.output_dir / "report_transitions.tsv", "\n".join(tr_lines) + "\n")
-    return report
+STAGES = {
+    "ingest": Stage(None, _ingest_key, ("corpus.jsonl", "ingest_diagnostics.json"),
+                    "ingest_diagnostics.json", _build_ingest),
+    "profile": Stage("ingest", lambda c: {},
+                     ("profile_monthly.tsv", "profile_ccdf.tsv", "profile_summary.json"),
+                     "profile_summary.json", _build_profile),
+    "label": Stage("ingest", _label_key, ("stances.tsv", "labeler.json"),
+                   "labeler.json", _build_label),
+    "features": Stage("label", lambda c: {"params": dataclasses.asdict(c.features)},
+                      ("features_{set}.tsv", "features_{set}.schema.tsv", "features.json"),
+                      "features.json", _build_features),
+    "evaluate": Stage("features", _evaluate_key, ("report.json",),
+                      "report.json", _build_evaluate),
+    "report": Stage("evaluate", lambda c: {},
+                    ("report_bars.tsv", "report_transitions.tsv"), "report.json", _build_report),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +488,7 @@ def run_synth(config: PipelineConfig) -> SyntheticCorpus:
         datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
         for ts in generated.cutoffs
     ]
-    atomic_write_text(config.output_dir / "synthetic_cutoffs.json",
-                      json.dumps({"cutoffs": iso}, indent=2) + "\n")
+    atomic_write_text(config.output_dir / "synthetic_cutoffs.json", _json({"cutoffs": iso}))
     log.info("synth: %d entries over %d periods",
              len(generated.entries), config.synth.n_periods)
     return generated

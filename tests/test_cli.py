@@ -6,10 +6,10 @@ import signal
 
 import pytest
 
-from stancecast.cli import main
+from stancecast.cli import _COMMANDS, main
 from stancecast.config import PipelineConfig
 from stancecast.corpus import Entry, entries_to_jsonl
-from stancecast.pipeline import evaluate_key
+from stancecast.pipeline import stage_key
 
 BASE_CONFIG = {
     "seed": 11,
@@ -62,6 +62,16 @@ class TestStages:
     def test_missing_input_is_config_error(self, tmp_path):
         config = write_config(tmp_path, input=str(tmp_path / "nope.jsonl"))
         assert run("ingest", config) == 2
+
+    def test_label_and_profile_need_the_input(self, pipeline_dir, capsys):
+        # Both check ingest's key, which hashes the input file.
+        tmp_path, config = pipeline_dir
+        assert run("ingest", config) == 0
+        (tmp_path / "synthetic.jsonl").unlink()
+        for command in ("label", "profile"):
+            capsys.readouterr()
+            assert run(command, config) == 2, command
+            assert "input path does not exist" in capsys.readouterr().err
 
     def test_missing_seed_is_config_error(self, tmp_path):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -233,13 +243,54 @@ class TestStages:
         assert not (tmp_path / "stances.tsv").exists()
 
 
+def _stats(tmp_path, names):
+    """Inode, mtime and size: an atomic rewrite changes the inode at least."""
+    stats = {}
+    for name in names:
+        st = (tmp_path / name).stat()
+        stats[name] = (st.st_ino, st.st_mtime_ns, st.st_size)
+    return stats
+
+
 class TestCaching:
+    # Every artifact of each cached stage, in stage order.
+    ARTIFACTS = {
+        "ingest": ["corpus.jsonl", "ingest_diagnostics.json"],
+        "profile": ["profile_monthly.tsv", "profile_ccdf.tsv", "profile_summary.json"],
+        "label": ["stances.tsv", "labeler.json"],
+        "features": ["features_FS1.tsv", "features_FS1.schema.tsv", "features_FS3.tsv",
+                     "features_FS3.schema.tsv", "features.json"],
+        "evaluate": ["report.json"],
+        "report": ["report_bars.tsv", "report_transitions.tsv"],
+    }
+
     def test_rerun_hits_cache(self, pipeline_dir):
         tmp_path, config = pipeline_dir
-        assert run("ingest", config) == 0
-        first = (tmp_path / "corpus.jsonl").stat().st_mtime_ns
-        assert run("ingest", config) == 0
-        assert (tmp_path / "corpus.jsonl").stat().st_mtime_ns == first
+        for stage in self.ARTIFACTS:
+            assert run(stage, config) == 0, stage
+        for stage, artifacts in self.ARTIFACTS.items():
+            before = _stats(tmp_path, [f"{stage}.hash", *artifacts])
+            assert run(stage, config) == 0, stage
+            assert _stats(tmp_path, [f"{stage}.hash", *artifacts]) == before, stage
+
+    def test_stale_upstream_is_refused(self, pipeline_dir, capsys):
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features", "evaluate"):
+            assert run(command, config) == 0, command
+        assert run("label", config, "--set", "labeler.lower_cutoff=0.45",
+                   "--set", "labeler.upper_cutoff=0.55") == 0
+        guarded = ["report.json", "evaluate.hash", "features.hash",
+                   *self.ARTIFACTS["features"]]
+        before = _stats(tmp_path, guarded)
+        for command, extra, stale in (
+                ("evaluate", ("--set", "learning.search_iters=3"), "features"),
+                ("features", (), "label")):
+            capsys.readouterr()
+            assert run(command, config, *extra) == 1, command
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert f"stage '{stale}'" in err and err.endswith(f"run {stale} again\n"), err
+        assert _stats(tmp_path, guarded) == before
 
     def test_seed_change_invalidates_label_stage(self, pipeline_dir):
         tmp_path, config = pipeline_dir
@@ -366,6 +417,20 @@ class TestProfile:
         assert rows[1:] == ["5\t1"]
 
 
+def test_help_describes_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    described = {}
+    for line in capsys.readouterr().out.splitlines():
+        words = line.split(None, 1)
+        if words and words[0] in _COMMANDS:
+            described[words[0]] = words[1:]
+    assert set(described) == set(_COMMANDS)
+    assert all(described.values()), described
+
+
 def test_synth_cli_writes_truth_and_cutoffs(tmp_path):
     config = write_config(tmp_path)
     assert run("synth", config) == 0
@@ -411,7 +476,7 @@ def test_report_renders_reference_transition_layout(tmp_path):
     config = write_config(tmp_path)
     # report only renders a report.json whose evaluate stage key is current
     (tmp_path / "features.hash").write_text("fixture\n", encoding="utf-8")
-    key = evaluate_key(PipelineConfig.from_file(config))
+    key = stage_key(PipelineConfig.from_file(config), "evaluate")
     (tmp_path / "evaluate.hash").write_text(key + "\n", encoding="utf-8")
     assert run("report", config) == 0
     rows = (tmp_path / "report_transitions.tsv").read_text().strip().splitlines()
