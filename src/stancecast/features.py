@@ -12,6 +12,7 @@ stacks the blocks and appends the one-hot.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ SYMBOLIC_COUNTS = {"FS0": 101, "FS1": 8, "FS2": 19, "FS3": 16, "FS4": 41, "FS5":
 
 # The unions concatenate the numeric blocks of these sets, in this order,
 # and end with the one-hot once.
-_UNION_PARTS = {"FS4": ("FS1", "FS2", "FS3"), "FS5": ("FS0", "FS1", "FS2", "FS3")}
+UNION_PARTS = {"FS4": ("FS1", "FS2", "FS3"), "FS5": ("FS0", "FS1", "FS2", "FS3")}
 
 _QUANTILE_LEVELS = (0.0, 0.25, 0.50, 0.75, 1.0)
 
@@ -78,14 +79,18 @@ class FeatureTable:
 
     The last three columns of `values` are the one-hot of each row's
     current stance; `schema_columns` names the columns. Iterating yields
-    `FeatureRow`s. Tables are equal when every field matches, the values
-    bit for bit.
+    `FeatureRow`s. Tables are equal when set_id, users and periods match
+    and the values match bit for bit. A union from `assemble_union` keeps
+    its constituent tables in `parts`, so `feature_table_tsv` renders it
+    from their text; `dataclasses.replace` gives a table without parts.
+    The rendered text is cached, so `values` must not change in place.
     """
 
     set_id: str
     users: tuple[str, ...]
     periods: np.ndarray
     values: np.ndarray
+    parts: tuple[FeatureTable, ...] = field(default=(), init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.users)
@@ -107,6 +112,21 @@ class FeatureTable:
         if not len(self):
             return np.zeros(0, dtype=np.int64)
         return np.argmax(self.values[:, -3:], axis=1)
+
+    @functools.cached_property
+    def _row_text(self) -> list[list[str]]:
+        """Each row's numeric block, then its one-hot, as tab-joined reprs.
+
+        One list per block that has columns. Rendered once per table: a
+        union joins its parts' numeric text and takes its first part's
+        one-hot text, so it formats no float again.
+        """
+        if self.parts:
+            return [*(text for part in self.parts for text in part._row_text[:-1]),
+                    self.parts[0]._row_text[-1]]
+        # tolist() gives Python floats, whose repr is the shortest exact round-trip form
+        return [["\t".join(map(repr, row)) for row in block.tolist()]
+                for block in (self.values[:, :-3], self.values[:, -3:]) if block.shape[1]]
 
 
 @dataclass(slots=True)
@@ -414,13 +434,15 @@ def compute_fs0(
 
 def assemble_union(tables: Sequence[FeatureTable], set_id: str) -> FeatureTable:
     """Concatenate constituent numeric blocks, sharing the stance one-hot once."""
-    if set_id not in _UNION_PARTS:
+    if set_id not in UNION_PARTS:
         raise ValueError(f"not a union set: {set_id!r}")
     by_set = {t.set_id: t for t in tables}
-    missing = [part for part in _UNION_PARTS[set_id] if part not in by_set]
+    missing = [part for part in UNION_PARTS[set_id] if part not in by_set]
     if missing:
         raise ValueError(f"{set_id} needs constituent sets {missing}")
-    parts = [by_set[part] for part in _UNION_PARTS[set_id]]
+    parts = [by_set[part] for part in UNION_PARTS[set_id]]
+    if any(part.values.shape[1] < len(STANCE_ORDER) for part in parts):
+        raise ValueError("union constituents must end with the 3-slot stance one-hot")
     first = parts[0]
     for other in parts[1:]:
         if other.users != first.users or not np.array_equal(other.periods, first.periods):
@@ -428,7 +450,9 @@ def assemble_union(tables: Sequence[FeatureTable], set_id: str) -> FeatureTable:
         if not np.array_equal(other.values[:, -3:], first.values[:, -3:]):
             raise ValueError("union constituents disagree on the current stance")
     values = np.hstack([part.values[:, :-3] for part in parts] + [first.values[:, -3:]])
-    return FeatureTable(set_id, first.users, first.periods, values)
+    union = FeatureTable(set_id, first.users, first.periods, values)
+    object.__setattr__(union, "parts", tuple(parts))
+    return union
 
 
 def extract_all(
@@ -451,7 +475,7 @@ def extract_all(
     index = build_period_user_index(forest, partition, stances)
     needed = set(sets)
     for set_id in sets:
-        needed.update(_UNION_PARTS.get(set_id, ()))
+        needed.update(UNION_PARTS.get(set_id, ()))
 
     entries = list(forest.entry_index.values())
     idf: list[float] = []
@@ -492,7 +516,7 @@ def extract_all(
         numeric = np.array(rows, dtype=np.float64).reshape(
             len(keys), numeric_dim(set_id, vocab_width) - len(STANCE_ORDER))
         tables[set_id] = FeatureTable(set_id, users, periods, np.hstack([numeric, onehot]))
-    for set_id in _UNION_PARTS:
+    for set_id in UNION_PARTS:
         if set_id in needed:
             tables[set_id] = assemble_union(list(tables.values()), set_id)
     return {set_id: tables[set_id] for set_id in sets}
@@ -522,7 +546,7 @@ def schema_columns(set_id: str, vocab: Optional[Sequence[str]] = None,
         "FS2": [f"CS_t^{s.value}" for s in STANCE_ORDER] + _stance_block_names("R_t"),
         "FS3": _stance_block_names("UP_t"),
     }
-    columns = [name for part in _UNION_PARTS.get(set_id, (set_id,)) for name in numeric[part]]
+    columns = [name for part in UNION_PARTS.get(set_id, (set_id,)) for name in numeric[part]]
     return columns + [f"c_t={s.value}" for s in STANCE_ORDER]
 
 
@@ -532,9 +556,8 @@ def feature_table_tsv(table: FeatureTable) -> str:
         return "user\tperiod\tset_id\n"
     header = ["user", "period", "set_id"] + [f"f_{i}" for i in range(table.values.shape[1])]
     lines = ["\t".join(header)]
-    # tolist() gives Python floats, whose repr is the shortest exact round-trip form
-    for user, period, values in zip(table.users, table.periods.tolist(), table.values.tolist()):
-        lines.append("\t".join([user, str(period), table.set_id, *map(repr, values)]))
+    for user, period, *blocks in zip(table.users, table.periods.tolist(), *table._row_text):
+        lines.append("\t".join([user, str(period), table.set_id, *blocks]))
     return "\n".join(lines) + "\n"
 
 
@@ -567,7 +590,7 @@ def feature_table_from_tsv(text: str) -> FeatureTable:
         set_id = cells[2]
         try:
             periods.append(np.int64(int(cells[1])))
-            rows.append([float(c) for c in cells[3:]])
+            rows.append(list(map(float, cells[3:])))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {n}: {exc}") from None
         users.append(cells[0])

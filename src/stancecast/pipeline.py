@@ -1,10 +1,11 @@
 """Pipeline stages behind the CLI: ingest, profile, label, features, evaluate, report.
 
-Every stage but synth is a `Stage` run by `_run_stage`: refuse a stale
-upstream, compute the stage key (its config fields plus the upstream's hash),
-return the recorded summary on a cache hit, and otherwise write every artifact
-atomically and `<stage>.hash` last, so an interrupted run never masquerades as
-a finished stage and a changed seed invalidates everything downstream of it.
+Every stage but synth is a `Stage` run by `_run_stage`: refuse a stale stage
+anywhere up its chain, compute the stage key (its config fields plus the
+upstream's hash), return the recorded summary on a cache hit, and otherwise
+write every artifact atomically and `<stage>.hash` last, so an interrupted run
+never masquerades as a finished stage and a changed seed invalidates
+everything downstream of it.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ import tempfile
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, Iterator
 
 from . import corpus as corpus_mod
 from .config import PipelineConfig
 from .corpus import Entry, TimePartition, build_forest, parse_entries, partition_periods
 from .features import (
+    UNION_PARTS,
+    FeatureTable,
+    assemble_union,
     build_vocab_top_words,
     extract_all,
     feature_table_from_tsv,
@@ -122,24 +126,41 @@ def _open_artifact(config: PipelineConfig, stage: str, name: str) -> IO[str]:
             f"stage '{stage}' has not been run: missing artifact {path}") from None
 
 
-def _stale(config: PipelineConfig, stage: str) -> bool:
+def _stale(config: PipelineConfig, stage: str, key: str | None = None) -> bool:
     """Whether `stage` last ran under another key than `config` gives it, or lost an artifact."""
     sets = config.features.sets
     artifacts = [config.output_dir / name.format(set=s) for name in STAGES[stage].artifacts
                  for s in (sets if "{set}" in name else ("",))]
-    return (_recorded_hash(config, stage) != stage_key(config, stage)
+    return (_recorded_hash(config, stage) != (key or stage_key(config, stage))
             or not all(path.exists() for path in artifacts))
+
+
+def _stale_upstream(config: PipelineConfig, stage: str) -> str | None:
+    """The nearest stage up the chain from `stage` that is stale, if any.
+
+    Each stage's key reads its upstream's recorded hash, so one walk that
+    computes every key once (the input is hashed at ingest only) covers the
+    whole chain: a relabel makes features stale even though evaluate's own
+    key still matches.
+    """
+    upstream = STAGES[stage].upstream
+    while upstream is not None:
+        if _stale(config, upstream):
+            return upstream
+        upstream = STAGES[upstream].upstream
+    return None
 
 
 def _run_stage(config: PipelineConfig, stage: str) -> dict:
     spec, out = STAGES[stage], config.output_dir
-    if spec.upstream is not None and _stale(config, spec.upstream):
-        raise PipelineError(f"stage '{spec.upstream}' is stale: the config or an upstream "
-                            f"stage changed since it ran; run {spec.upstream} again")
-    if (out / f"{stage}.hash").exists() and not _stale(config, stage):
+    stale = _stale_upstream(config, stage)
+    if stale is not None:
+        raise PipelineError(f"stage '{stale}' is stale: the config or an upstream "
+                            f"stage changed since it ran; run {stale} again")
+    key = stage_key(config, stage)
+    if (out / f"{stage}.hash").exists() and not _stale(config, stage, key):
         log.info("%s: cache hit", stage)
         return json.loads((out / spec.summary).read_text(encoding="utf-8"))
-    key = stage_key(config, stage)
     files, summary = spec.build(config)
     for name, text in files:
         atomic_write_text(out / name, text)
@@ -367,17 +388,46 @@ def _evaluate_key(config: PipelineConfig) -> dict:
     }
 
 
+def _feature_tables(config: PipelineConfig) -> Iterator[tuple[str, FeatureTable]]:
+    """Each configured feature table in config order, every TSV parsed once.
+
+    A union whose constituents are all configured is assembled from their
+    parsed tables rather than parsed again from its own TSV, which repeats
+    their cells.
+    """
+    sets = config.features.sets
+    parsed: dict[str, FeatureTable] = {}
+
+    def read(set_id: str) -> FeatureTable:
+        if set_id not in parsed:
+            with _open_artifact(config, "features", f"features_{set_id}.tsv") as handle:
+                try:
+                    parsed[set_id] = feature_table_from_tsv(handle.read())
+                except ValueError as exc:
+                    raise PipelineError(f"{handle.name}: {exc}") from exc
+        return parsed[set_id]
+
+    for set_id in sets:
+        parts = UNION_PARTS.get(set_id, ())
+        if not parts or not all(part in sets for part in parts):
+            yield set_id, read(set_id)
+            continue
+        tables = [read(part) for part in parts]
+        if not all(map(len, tables)):
+            raise PipelineError(f"no supervised instances for {set_id}")
+        try:
+            union = assemble_union(tables, set_id)
+        except ValueError as exc:
+            raise PipelineError(f"cannot assemble {set_id}: {exc}") from exc
+        yield set_id, union
+
+
 def _build_evaluate(config: PipelineConfig) -> tuple[Files, dict]:
     stances = _load_stances(config)
     params = config.learning
     combos = []
     skipped = []
-    for set_id in config.features.sets:
-        with _open_artifact(config, "features", f"features_{set_id}.tsv") as handle:
-            try:
-                table = feature_table_from_tsv(handle.read())
-            except ValueError as exc:
-                raise PipelineError(f"{handle.name}: {exc}") from exc
+    for set_id, table in _feature_tables(config):
         instances = make_instances(table, stances)
         if not len(instances):
             raise PipelineError(f"no supervised instances for {set_id}")

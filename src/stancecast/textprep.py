@@ -36,6 +36,9 @@ shan shouldn wasn weren won wouldn
 
 
 def strip_diacritics(text: str) -> str:
+    # NFKD leaves ASCII as it is, and no ASCII character is combining.
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
@@ -132,13 +135,19 @@ _STEP3_RULES = (
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 )
 
+# Per step: the suffix tuple `_longest_match` scans and the replacements.
+_STEP2 = (tuple(s for s, _ in _STEP2_RULES), dict(_STEP2_RULES))
+_STEP3 = (tuple(s for s, _ in _STEP3_RULES), dict(_STEP3_RULES))
+
 _STEP4_SUFFIXES = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 )
 
 
-def _longest_match(word: str, suffixes) -> str | None:
+def _longest_match(word: str, suffixes: tuple[str, ...]) -> str | None:
+    if not word.endswith(suffixes):
+        return None
     best = None
     for suffix in suffixes:
         if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
@@ -185,14 +194,15 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _apply_table(word: str, rules, min_measure: int) -> str:
-    suffix = _longest_match(word, [s for s, _ in rules])
+def _apply_table(word: str, step: tuple[tuple[str, ...], dict[str, str]],
+                 min_measure: int) -> str:
+    suffixes, replacements = step
+    suffix = _longest_match(word, suffixes)
     if suffix is None:
         return word
     stem = word[: -len(suffix)]
     if _measure(stem) > min_measure - 1:
-        replacement = dict(rules)[suffix]
-        return stem + replacement
+        return stem + replacements[suffix]
     return word
 
 
@@ -233,8 +243,8 @@ def porter_stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_table(word, _STEP2_RULES, min_measure=1)
-    word = _apply_table(word, _STEP3_RULES, min_measure=1)
+    word = _apply_table(word, _STEP2, min_measure=1)
+    word = _apply_table(word, _STEP3, min_measure=1)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

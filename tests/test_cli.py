@@ -233,6 +233,49 @@ class TestStages:
         assert err.startswith("error: BrokenProcessPool: ") and err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
+    def test_union_built_in_memory_matches_union_read_from_disk(self, tmp_path, monkeypatch):
+        import stancecast.pipeline as pipeline_mod
+        parsed = []
+        real = pipeline_mod.feature_table_from_tsv
+
+        def counting(text):
+            table = real(text)
+            parsed.append(table.set_id)
+            return table
+
+        monkeypatch.setattr(pipeline_mod, "feature_table_from_tsv", counting)
+        combos = {}
+        for sets in (["FS1", "FS2", "FS3", "FS4"], ["FS4"]):
+            workdir = tmp_path / "-".join(sets)
+            workdir.mkdir()
+            config = write_config(workdir, features={"sets": sets, "vocab_size": 20})
+            for command in ("synth", "ingest", "label", "features"):
+                assert run(command, config) == 0, command
+            parsed.clear()
+            assert run("evaluate", config) == 0
+            report = json.loads((workdir / "report.json").read_text())
+            [combo] = [c for c in report["combos"] if c["set_id"] == "FS4"]
+            combos[len(sets)] = json.dumps(combo, sort_keys=True)
+            # Each TSV is parsed once; FS4 is read only when its parts are not.
+            assert parsed == (["FS1", "FS2", "FS3"] if len(sets) == 4 else ["FS4"])
+        assert combos[4] == combos[1]
+
+    def test_disagreeing_union_parts_fail_evaluate_cleanly(self, tmp_path, capsys):
+        config = write_config(tmp_path, features={"sets": ["FS1", "FS2", "FS3", "FS4"],
+                                                  "vocab_size": 20})
+        for command in ("synth", "ingest", "label", "features"):
+            assert run(command, config) == 0, command
+        table = tmp_path / "features_FS3.tsv"
+        rows = table.read_text().splitlines()
+        rows[1], rows[2] = rows[2], rows[1]
+        table.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run("evaluate", config) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot assemble FS4: union constituents must describe " \
+                      "the same users and periods\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_label_fails_cleanly_without_eligible_users(self, tmp_path):
         entries = [Entry(f"e{i}", f"u{i}", "no hashtags here", 1000000 + i)
                    for i in range(30)]
@@ -290,6 +333,25 @@ class TestCaching:
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1, err
             assert f"stage '{stale}'" in err and err.endswith(f"run {stale} again\n"), err
+        assert _stats(tmp_path, guarded) == before
+
+    def test_stale_stage_further_up_is_refused(self, pipeline_dir, capsys):
+        # Relabeling leaves evaluate's own key matching the recorded
+        # features.hash, so only a walk up the whole chain sees features stale.
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features", "evaluate", "report"):
+            assert run(command, config) == 0, command
+        relabel = ("--set", "labeler.lower_cutoff=0.45", "--set", "labeler.upper_cutoff=0.55")
+        assert run("label", config, *relabel) == 0
+        guarded = ["report.json", "evaluate.hash", "report.hash", "features.hash",
+                   *self.ARTIFACTS["features"], *self.ARTIFACTS["report"]]
+        before = _stats(tmp_path, guarded)
+        for command in ("report", "evaluate"):
+            capsys.readouterr()
+            assert run(command, config, *relabel) == 1, command
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert "stage 'features'" in err and err.endswith("run features again\n"), err
         assert _stats(tmp_path, guarded) == before
 
     def test_seed_change_invalidates_label_stage(self, pipeline_dir):
@@ -472,10 +534,11 @@ def test_report_renders_reference_transition_layout(tmp_path):
             "transition_f1": matrix, "transition_missing": [],
         }],
     }
-    (tmp_path / "report.json").write_text(json.dumps(report), encoding="utf-8")
     config = write_config(tmp_path)
-    # report only renders a report.json whose evaluate stage key is current
-    (tmp_path / "features.hash").write_text("fixture\n", encoding="utf-8")
+    # report only renders a report.json whose whole upstream chain is current
+    for command in ("synth", "ingest", "label", "features"):
+        assert run(command, config) == 0, command
+    (tmp_path / "report.json").write_text(json.dumps(report), encoding="utf-8")
     key = stage_key(PipelineConfig.from_file(config), "evaluate")
     (tmp_path / "evaluate.hash").write_text(key + "\n", encoding="utf-8")
     assert run("report", config) == 0

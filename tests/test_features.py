@@ -10,6 +10,7 @@ from stancecast.corpus import Entry, TimePartition, build_forest, extract_diffus
 from stancecast.features import (
     SET_IDS,
     SYMBOLIC_COUNTS,
+    UNION_PARTS,
     FeatureTable,
     assemble_union,
     build_document_index,
@@ -684,6 +685,80 @@ class TestExportRoundTrip:
         for set_id, table in tables.items():
             names = schema_columns(set_id, vocab=None, vocab_width=100)
             assert len(names) == table.values.shape[1]
+
+
+def reference_tsv(table):
+    """`feature_table_tsv` formatting every cell of the table's own values."""
+    if not len(table):
+        return "user\tperiod\tset_id\n"
+    header = ["user", "period", "set_id"] + [f"f_{i}" for i in range(table.values.shape[1])]
+    return "\n".join(["\t".join(header)] + [
+        "\t".join([user, str(period), table.set_id, *map(repr, values)])
+        for user, period, values in zip(table.users, table.periods.tolist(),
+                                        table.values.tolist())]) + "\n"
+
+
+class TestUnionRendering:
+    """A union renders from its parts' text; the bytes must be those of its values."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_union_tsv_matches_per_cell_rendering(self, data):
+        set_id = data.draw(st.sampled_from(sorted(UNION_PARTS)))
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        floats = st.floats() | st.sampled_from(
+            [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308, float("nan"), 1e308])
+        users = tuple(data.draw(st.lists(st.text(min_size=1).filter(ingestible_author),
+                                         min_size=n, max_size=n)))
+        periods = np.array(data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n)),
+                           dtype=np.int64)
+        onehot = np.eye(3)[data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))]
+        parts = []
+        for part in UNION_PARTS[set_id]:
+            # FS0 without numeric columns is vocab_size=0.
+            width = data.draw(st.integers(min_value=0 if part == "FS0" else 1, max_value=4))
+            numeric = np.array(data.draw(st.lists(
+                st.lists(floats, min_size=width, max_size=width), min_size=n, max_size=n)),
+                dtype=np.float64).reshape(n, width)
+            # array_equal lets parts differ in the sign of a one-hot zero; the
+            # union's one-hot is its first part's.
+            negative = np.array(data.draw(st.lists(st.booleans(), min_size=3 * n,
+                                                   max_size=3 * n)), dtype=bool)
+            part_onehot = np.where(negative.reshape(n, 3) & (onehot == 0), -0.0, onehot)
+            parts.append(FeatureTable(part, users, periods, np.hstack([numeric, part_onehot])))
+        union = assemble_union(parts, set_id)
+        # The parts' text may be rendered before, after, or never apart from the union's.
+        rendered_first = data.draw(st.lists(st.sampled_from(parts), unique_by=id))
+        for part in rendered_first:
+            assert feature_table_tsv(part) == reference_tsv(part)
+        assert feature_table_tsv(union) == reference_tsv(union)
+        for part in parts:
+            assert feature_table_tsv(part) == reference_tsv(part)
+
+    def test_extracted_unions_match_per_cell_rendering(self):
+        forest, _, stances = build_case()
+        for vocab_width in (0, 3):
+            tables = extract_all(forest, TimePartition((0, 100)), stances,
+                                 vocab_width=vocab_width)
+            for set_id in ("FS5", *SET_IDS):
+                assert feature_table_tsv(tables[set_id]) == reference_tsv(tables[set_id])
+            assert tables["FS0"].values.shape[1] == vocab_width + 3
+
+    def test_replaced_union_renders_its_own_values(self):
+        forest, _, stances = build_case()
+        fs4 = extract_all(forest, TimePartition((0, 100)), stances, sets=("FS4",))["FS4"]
+        assert len(fs4.parts) == 3
+        moved = dataclasses.replace(fs4, values=fs4.values + 1.0)
+        assert moved.parts == ()
+        assert feature_table_tsv(moved) == reference_tsv(moved) != feature_table_tsv(fs4)
+
+    def test_constituent_without_onehot_rejected(self):
+        forest, _, stances = build_case()
+        tables = extract_all(forest, TimePartition((0, 100)), stances, sets=("FS1", "FS2"))
+        narrow = FeatureTable("FS3", tables["FS1"].users, tables["FS1"].periods,
+                              tables["FS1"].values[:, :2])
+        with pytest.raises(ValueError, match="3-slot stance one-hot"):
+            assemble_union([tables["FS1"], tables["FS2"], narrow], "FS4")
 
 
 def test_sentinel_user_gets_no_vectors():

@@ -1,6 +1,11 @@
+import re
+import unicodedata
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stancecast import textprep
+from stancecast.synth import SyntheticConfig, generate_synthetic_corpus
 from stancecast.textprep import (
     STOPWORDS,
     extract_hashtags,
@@ -9,6 +14,8 @@ from stancecast.textprep import (
     strip_diacritics,
     tokenize,
 )
+
+from test_token_pass import _PHRASES
 
 # Published reference pairs for the suffix stripper.
 PORTER_VECTORS = [
@@ -117,3 +124,101 @@ def test_preprocess_of_joined_texts_is_concatenation(texts):
 @given(st.from_regex(r"[a-z]{1,20}", fullmatch=True))
 def test_memoized_stem_matches_unmemoized(word):
     assert porter_stem(word) == porter_stem.__wrapped__(word)
+
+
+# ---------------------------------------------------------------------------
+# The ASCII and suffix shortcuts against the code without them
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text):
+    """`tokenize` with NFKD applied to every text, ASCII too."""
+    text = text.lower()
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", text)
+    text = re.sub(r"#\w+", " ", text)
+    text = re.sub(r"@\w+", " ", text)
+    decomposed = unicodedata.normalize("NFKD", text)
+    text = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return re.findall(r"[a-z]+", text)
+
+
+def _reference_longest_match(word, suffixes):
+    best = None
+    for suffix in suffixes:
+        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
+            best = suffix
+    return best
+
+
+def _reference_apply_table(word, rules):
+    suffix = _reference_longest_match(word, [s for s, _ in rules])
+    if suffix is None:
+        return word
+    stem = word[: -len(suffix)]
+    return stem + dict(rules)[suffix] if textprep._measure(stem) > 0 else word
+
+
+def _reference_step4(word):
+    suffix = _reference_longest_match(word, textprep._STEP4_SUFFIXES)
+    if suffix is None:
+        return word
+    stem = word[: -len(suffix)]
+    if textprep._measure(stem) <= 1:
+        return word
+    if suffix == "ion" and not stem.endswith(("s", "t")):
+        return word
+    return stem
+
+
+def reference_stem(word):
+    """`porter_stem` scanning every suffix, with the rule tables rebuilt per call."""
+    if len(word) < 3:
+        return word
+    for step in (textprep._step1a, textprep._step1b, textprep._step1c,
+                 lambda w: _reference_apply_table(w, textprep._STEP2_RULES),
+                 lambda w: _reference_apply_table(w, textprep._STEP3_RULES),
+                 _reference_step4, textprep._step5a, textprep._step5b):
+        word = step(word)
+    return word
+
+
+_ACCENTED = "àáâãäåçèéêëìíîïñòóôõöøùúûüýÿÀÉÎÕÜŁłŐőŠšŽžĞğİıßÆæŒœ"
+_COMBINING = "\u0300\u0301\u0302\u0303\u0308\u030a\u0327\u0328\u0331\u20d7"
+_FULLWIDTH = "".join(chr(c) for c in range(0xFF21, 0xFF3B)) + "".join(
+    chr(c) for c in range(0xFF41, 0xFF5B))
+_LIGATURES = "\ufb00\ufb01\ufb02\ufb03\ufb04\u0132\u0133\u01c4\u01c6\u1e9e"
+_MIXED_TEXT = st.text(alphabet=st.one_of(
+    st.characters(max_codepoint=127), st.sampled_from(_ACCENTED),
+    st.sampled_from(_COMBINING), st.sampled_from(_FULLWIDTH),
+    st.sampled_from(_LIGATURES)), max_size=80)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_MIXED_TEXT)
+def test_tokenize_matches_reference_on_mixed_scripts(text):
+    assert tokenize(text) == reference_tokenize(text)
+    for token in tokenize(text):
+        assert porter_stem.__wrapped__(token) == reference_stem(token)
+
+
+_SUFFIXES = [s for s, _ in textprep._STEP2_RULES + textprep._STEP3_RULES]
+_SUFFIXES += [*textprep._STEP4_SUFFIXES, "sses", "ies", "eed", "ed", "ing", "y", "e", "ll"]
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.from_regex(r"[a-z]{0,10}", fullmatch=True), st.sampled_from(["", *_SUFFIXES]))
+def test_stem_matches_reference_on_suffixed_words(stem, suffix):
+    word = stem + suffix
+    assert porter_stem.__wrapped__(word) == reference_stem(word)
+
+
+def test_stem_matches_reference_on_corpus_words():
+    generated = generate_synthetic_corpus(SyntheticConfig(n_users=60, n_periods=3), seed=5)
+    texts = [entry.content for entry in generated.entries] + list(_PHRASES)
+    words = {token for text in texts for token in reference_tokenize(text)}
+    words |= {word for word, _ in PORTER_VECTORS}
+    assert len(words) > 50
+    for text in texts:
+        assert tokenize(text) == reference_tokenize(text)
+    for word in sorted(words):
+        assert porter_stem.__wrapped__(word) == reference_stem(word), word
