@@ -7,11 +7,12 @@ individual keys. Validation happens before any output is touched.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from .learning.classifiers import FAMILIES
+from .learning.classifiers import FAMILIES, build_classifier, sample_params
 from .synth import SyntheticConfig
 
 # Default period cutoffs for the Brexit subreddit case study: fifteen
@@ -124,6 +125,7 @@ class PipelineConfig:
         for family in learning.families:
             if family not in FAMILIES:
                 problems.append(f"unknown classifier family {family!r}")
+        problems.extend(_space_problems(learning.spaces))
         for set_id in features.sets:
             if set_id not in ("FS0", "FS1", "FS2", "FS3", "FS4", "FS5"):
                 problems.append(f"unknown feature set {set_id!r}")
@@ -170,6 +172,22 @@ def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = 
     except (TypeError, ValueError) as exc:
         problems.append(f"invalid '{name}' section: {exc}")
         return factory(**dict(defaults))
+
+
+def _space_problems(spaces: Any) -> list[str]:
+    """Check `learning.spaces` by drawing and building one candidate per family."""
+    if not isinstance(spaces, dict) or not all(isinstance(s, dict) for s in spaces.values()):
+        return ["'learning.spaces' must be an object of objects"]
+    problems = []
+    for family, space in spaces.items():
+        if family not in FAMILIES:
+            problems.append(f"unknown classifier family {family!r} in 'learning.spaces'")
+            continue
+        try:
+            build_classifier(family, sample_params(space, random.Random(0)))
+        except (ValueError, TypeError, IndexError, OverflowError) as exc:
+            problems.append(f"invalid 'learning.spaces.{family}': {exc}")
+    return problems
 
 
 def _apply_override(raw: dict, override: str) -> None:

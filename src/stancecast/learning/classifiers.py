@@ -16,6 +16,9 @@ import numpy as np
 
 from .trees import Tree, grow, presort
 
+LR_MAX_EPOCHS = 1000
+LR_TOL = 1e-6
+
 
 def _validate_training(X: np.ndarray, y: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[0] == 0:
@@ -31,14 +34,12 @@ class LogisticRegressionClassifier:
 
     Features are standardized by the training mean and deviation; the
     bias row is unpenalized. Plain gradient descent with Armijo
-    backtracking runs until the parameter update drops below `tol` or
-    `max_epochs` epochs elapse.
+    backtracking runs until the parameter update drops below `LR_TOL` or
+    `LR_MAX_EPOCHS` epochs elapse.
     """
 
-    def __init__(self, l2: float = 1.0, max_epochs: int = 1000, tol: float = 1e-6):
+    def __init__(self, l2: float = 1.0):
         self.l2 = l2
-        self.max_epochs = max_epochs
-        self.tol = tol
         self.weights = None
         self.mean = None
         self.scale = None
@@ -71,7 +72,7 @@ class LogisticRegressionClassifier:
         weights = np.zeros((D.shape[1], n_classes))
         loss, grad = self._loss_grad(D, Y, weights)
         lr = 1.0
-        for _ in range(self.max_epochs):
+        for _ in range(LR_MAX_EPOCHS):
             grad_sq = float(np.sum(grad**2))
             if grad_sq == 0.0:
                 break
@@ -84,7 +85,7 @@ class LogisticRegressionClassifier:
             step = lr * float(np.max(np.abs(grad)))
             weights, loss, grad = candidate, new_loss, new_grad
             lr = min(lr * 2.0, 1e4)
-            if step < self.tol:
+            if step < LR_TOL:
                 break
         self.weights = weights
         return self
@@ -268,21 +269,14 @@ class GradientBoostingClassifier:
         return np.argmax(scores.T, axis=1)
 
 
-FAMILIES = ("logistic_regression", "knn", "random_forest",
-            "gradient_boosting", "gaussian_nb")
-
-_BUILDERS = {
-    "logistic_regression": lambda p: LogisticRegressionClassifier(l2=p.get("l2", 1.0)),
-    "knn": lambda p: KNNClassifier(k=p.get("k", 5)),
-    "random_forest": lambda p: RandomForestClassifier(
-        n_trees=p.get("n_trees", 100), max_depth=p.get("max_depth", 10),
-        max_features=p.get("max_features", "sqrt")),
-    "gradient_boosting": lambda p: GradientBoostingClassifier(
-        n_trees=p.get("n_trees", 100), max_depth=p.get("max_depth", 3),
-        learning_rate=p.get("learning_rate", 0.1)),
-    "gaussian_nb": lambda p: GaussianNBClassifier(
-        var_smoothing=p.get("var_smoothing", 1e-9)),
+_CLASSES = {
+    "logistic_regression": LogisticRegressionClassifier,
+    "knn": KNNClassifier,
+    "random_forest": RandomForestClassifier,
+    "gradient_boosting": GradientBoostingClassifier,
+    "gaussian_nb": GaussianNBClassifier,
 }
+FAMILIES = tuple(_CLASSES)
 
 DEFAULT_SPACES: dict[str, dict] = {
     "logistic_regression": {"l2": ("loguniform", 1e-4, 1e2)},
@@ -320,9 +314,13 @@ def sample_params(space: Mapping[str, Sequence], rng: random.Random) -> dict:
 
 
 def build_classifier(family: str, params: Mapping):
-    if family not in _BUILDERS:
+    """The family's classifier with `params` as keyword arguments.
+
+    A name the constructor does not take raises `TypeError`.
+    """
+    if family not in _CLASSES:
         raise ValueError(f"unknown classifier family {family!r}")
-    return _BUILDERS[family](dict(params))
+    return _CLASSES[family](**params)
 
 
 def train_predict(family: str, params: Mapping, X_train, y_train, X_eval,

@@ -9,16 +9,15 @@ instances; the protocol checks that itself on every run.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -172,12 +171,13 @@ def nested_cv(
     configuration on ties.
 
     Every fit is one task. The folds, inner splits and candidates are all
-    drawn up front; the fits then run on one forked worker per CPU in this
+    drawn up front; the fits then run in two passes, every fold's search
+    and then every fold's refit, on one forked worker per CPU in this
     process's affinity mask (inline when that is one CPU, or the platform
-    cannot fork), and a fold's refit starts once its search is scored. The
-    result is the same bytes either way, and a failing fit raises the error
-    the first failing fit in serial order raises. A worker that dies ends
-    the call with `concurrent.futures.process.BrokenProcessPool`.
+    cannot fork). The result is the same bytes either way, and a failing
+    fit raises the error the first failing fit in serial order raises. A
+    worker that dies ends the call with
+    `concurrent.futures.process.BrokenProcessPool`.
     """
     if len(instances) < outer_k:
         raise ValueError("need at least one instance per outer fold")
@@ -202,15 +202,14 @@ def nested_cv(
     n_fits = sum(len(plan.fits) + 1 for plan in plans)
     workers = _fit_workers(n_fits)
     if workers == 1:
-        fold_results = _run_plans(plans, partial(_fit_now, spec.family, X, y), 1,
+        fold_results = _run_plans(plans, partial(map, partial(_fit, spec.family, X, y)),
                                   y, spec.family, search_iters)
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker,
                                  initargs=(spec.family, X, y)) as pool:
-            # Two tasks per worker keep each worker's next fit queued.
-            fold_results = _run_plans(plans, partial(pool.submit, _fit_in_worker),
-                                      2 * workers, y, spec.family, search_iters)
+            fold_results = _run_plans(plans, partial(pool.map, _fit_in_worker),
+                                      y, spec.family, search_iters)
 
     pooled_pred = np.full(n, -1, dtype=np.int64)
     for plan, (_, preds) in zip(plans, fold_results):
@@ -320,89 +319,50 @@ def _plan_fold(instances: LabeledRows, spec: ClassifierSpec, test_list: list[int
                                                            search_iters * inner_k + inner_k))
 
 
-def _run_plans(plans: list[_FoldPlan], submit: Callable[..., Future], capacity: int,
+def _run_plans(plans: list[_FoldPlan], run: Callable[[Iterable[_Fit]], Iterator[np.ndarray]],
                y: np.ndarray, family: str,
                search_iters: int) -> list[tuple[FoldResult, np.ndarray]]:
-    """Run every fold's search fits and then its refit; return (result, preds) per fold.
+    """Run every fold's search fits, then every fold's refit; return (result, preds) per fold.
 
-    `submit(*task)` starts one fit and returns its future. At most
-    `capacity` fits run at once, the earliest in serial order first; a
-    fold's refit becomes ready once all its search fits are scored. After
-    a fit fails, only fits that come before it in serial order still start,
-    and the earliest failure's error is raised: the one the serial loop hits.
+    `run(tasks)` yields each task's predictions in task order and raises the
+    error of the first task that fails, cancelling those still pending. When
+    a search fit fails, the folds before it still refit, and the first
+    failing refit's error is raised if there is one, else the search fit's:
+    the error the serial loop hits first.
     """
     started = time.perf_counter()
-    ready: list[tuple[int, int, int]] = []  # (serial position, fold, search fit or -1)
-    refit_position = []
-    for fold, plan in enumerate(plans):
-        base = refit_position[-1] + 1 if refit_position else 0
-        ready.extend((base + k, fold, k) for k in range(len(plan.fits)))
-        refit_position.append(base + len(plan.fits))
-    n_fits = refit_position[-1] + 1
-    # Scores stay in serial order: a float mean depends on the order of its terms.
-    scores: list[list[float]] = [[0.0] * len(plan.fits) for plan in plans]
-    unscored = [len(plan.fits) for plan in plans]
-    best_params: list[Optional[dict]] = [None] * len(plans)
-    results: list[Optional[tuple[FoldResult, np.ndarray]]] = [None] * len(plans)
-    running: dict[Future, tuple[int, int, int]] = {}
-    failure: Optional[tuple[int, BaseException]] = None
-    fits_done = logged = 0
-
-    def pick_best(fold: int) -> None:
-        plan = plans[fold]
-        by_candidate: list[list[float]] = [[] for _ in plan.candidates]
-        for (iteration, _), score in zip(plan.fits, scores[fold]):
-            by_candidate[iteration].append(score)
-        best_score = -1.0
-        for params, candidate_scores in zip(plan.candidates, by_candidate):
-            mean_score = float(np.mean(candidate_scores)) if candidate_scores else -1.0
-            if best_params[fold] is None or mean_score > best_score:
-                best_params[fold] = params
-                best_score = mean_score
-        heapq.heappush(ready, (refit_position[fold], fold, -1))
-
-    for fold, plan in enumerate(plans):
-        if not plan.fits:
-            pick_best(fold)
-    while True:
-        limit = failure[0] if failure else n_fits
-        while ready and ready[0][0] < limit and len(running) < capacity:
-            position, fold, k = heapq.heappop(ready)
-            plan = plans[fold]
-            task = (plan.fits[k][1] if k >= 0 else
-                    _Fit(best_params[fold], plan.train_idx, plan.test_idx, plan.refit_seed))
-            running[submit(*task)] = (position, fold, k)
-        if not running:
-            break
-        finished, _ = wait(running, return_when=FIRST_COMPLETED)
-        for future in finished:
-            position, fold, k = running.pop(future)
-            error = future.exception()
-            if error is not None:
-                if failure is None or position < failure[0]:
-                    failure = (position, error)
-                continue
-            fits_done += 1
-            plan = plans[fold]
-            preds = future.result()
-            if k >= 0:
-                scores[fold][k] = macro_metrics(preds, y[plan.fits[k][1].eval_idx])["macro_f1"]
-                unscored[fold] -= 1
-                if not unscored[fold]:
-                    pick_best(fold)
-                continue
-            results[fold] = (FoldResult(fold=fold, params=best_params[fold],
-                                        metrics=macro_metrics(preds, y[plan.test_idx]),
-                                        n_test=int(plan.test_idx.size)), preds)
-            while logged < len(plans) and results[logged] is not None:
-                logged += 1
-                elapsed = time.perf_counter() - started
-                log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, "
-                         "ETA %.1f s", family, logged, len(plans), logged * search_iters,
-                         len(plans) * search_iters, elapsed,
-                         elapsed / fits_done * (n_fits - fits_done))
-    if failure is not None:
-        raise failure[1]
+    n_fits = sum(len(plan.fits) + 1 for plan in plans)
+    outcomes = run(fit for plan in plans for _, fit in plan.fits)
+    refits: list[_Fit] = []
+    fits_done = 0
+    search_error: Optional[Exception] = None
+    try:
+        for plan in plans:
+            # Scores stay in serial order: a float mean depends on the order of its terms.
+            by_candidate: list[list[float]] = [[] for _ in plan.candidates]
+            for iteration, fit in plan.fits:
+                by_candidate[iteration].append(
+                    macro_metrics(next(outcomes), y[fit.eval_idx])["macro_f1"])
+            fits_done += len(plan.fits)
+            best_params, best_score = None, -1.0
+            for params, scores in zip(plan.candidates, by_candidate):
+                mean_score = float(np.mean(scores)) if scores else -1.0
+                if best_params is None or mean_score > best_score:
+                    best_params, best_score = params, mean_score
+            refits.append(_Fit(best_params, plan.train_idx, plan.test_idx, plan.refit_seed))
+            elapsed = time.perf_counter() - started
+            log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, "
+                     "ETA %.1f s", family, len(refits), len(plans), len(refits) * search_iters,
+                     len(plans) * search_iters, elapsed,
+                     elapsed / max(fits_done, 1) * (n_fits - fits_done))
+    except Exception as exc:  # a fit's error, raised once the folds before it refit
+        search_error = exc
+    results = [(FoldResult(fold=fold, params=fit.params,
+                           metrics=macro_metrics(preds, y[fit.eval_idx]),
+                           n_test=int(fit.eval_idx.size)), preds)
+               for fold, (fit, preds) in enumerate(zip(refits, run(refits)))]
+    if search_error is not None:
+        raise search_error
     return results
 
 
@@ -418,19 +378,9 @@ def _fit_workers(n_fits: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_fits)
 
 
-def _fit(family: str, X: np.ndarray, y: np.ndarray, params: dict, fit_idx: np.ndarray,
-         eval_idx: np.ndarray, seed: int) -> np.ndarray:
-    return train_predict(family, params, X[fit_idx], y[fit_idx], X[eval_idx], seed=seed)
-
-
-def _fit_now(family: str, X: np.ndarray, y: np.ndarray, *task) -> Future:
-    """Run one fit inline and hand back its outcome as a finished future."""
-    future: Future = Future()
-    try:
-        future.set_result(_fit(family, X, y, *task))
-    except Exception as exc:  # stored like a worker's error, raised in serial order
-        future.set_exception(exc)
-    return future
+def _fit(family: str, X: np.ndarray, y: np.ndarray, task: _Fit) -> np.ndarray:
+    return train_predict(family, task.params, X[task.fit_idx], y[task.fit_idx],
+                         X[task.eval_idx], seed=task.seed)
 
 
 # Set in each forked worker by `_init_worker`; the parent never sets it.
@@ -442,8 +392,8 @@ def _init_worker(family: str, X: np.ndarray, y: np.ndarray) -> None:
     _worker_rows = (family, X, y)
 
 
-def _fit_in_worker(*task) -> np.ndarray:
-    return _fit(*_worker_rows, *task)
+def _fit_in_worker(task: _Fit) -> np.ndarray:
+    return _fit(*_worker_rows, task)
 
 
 def _check_partition(folds: Sequence[Sequence[int]], n: int) -> None:

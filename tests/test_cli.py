@@ -509,6 +509,29 @@ def test_invalid_synth_value_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "synthetic.jsonl").exists()
 
 
+@pytest.mark.parametrize("spaces, message", [
+    ({"gaussian_nb": {"var_smoothing": ["uniform", 1e-10, 1e-6]}},
+     "unknown space kind 'uniform'"),
+    ({"random_forest": {"n_tree": ["int", 3, 3]}}, "'n_tree'"),
+    ({"svm": {"c": ["loguniform", 0.1, 10.0]}}, "'svm'"),
+], ids=["unknown-kind", "unknown-name", "unknown-family"])
+def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, message):
+    tmp_path, config = pipeline_dir
+    for command in ("ingest", "label", "features"):
+        assert run(command, config) == 0, command
+    names = sorted(path.name for path in tmp_path.iterdir())
+    before = _stats(tmp_path, names)
+    capsys.readouterr()
+    assert run("evaluate", config,
+               "--set", 'learning.families=["gaussian_nb", "random_forest"]',
+               "--set", f"learning.spaces={json.dumps(spaces)}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    assert _stats(tmp_path, names) == before
+
+
 def test_empty_synth_section_keeps_cli_defaults(tmp_path):
     # The CLI default plants hashtags (hashtag_prob 0.25); the digest pins
     # the corpus these defaults have always written for seed 11.

@@ -8,6 +8,7 @@ Every comparison is exact: the same `to_dict()` bytes, or the same error.
 """
 
 import json
+import logging
 import random
 import time
 
@@ -224,3 +225,42 @@ def test_earliest_failure_in_serial_order_wins(workers, monkeypatch):
     monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: workers)
     with pytest.raises(ValueError, match=f"seed {refit_0} failed"):
         nested_cv(instances, spec, **kwargs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_fit_cancels_the_pending_ones(workers, monkeypatch):
+    # 30 search fits: the first fails and the other 29 sleep. Run to the end,
+    # they would take 4.35 s on two workers.
+    cv_seed = 8
+    first = _candidate_seed(cv_seed, 0, 0)
+    real = cv.train_predict
+
+    def slow(family, params, X, y, X_eval, seed=0):
+        if seed == first:
+            raise ValueError("the first search fit failed")
+        time.sleep(0.3)
+        return real(family, params, X, y, X_eval, seed=seed)
+
+    monkeypatch.setattr(cv, "train_predict", slow)
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: workers)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="the first search fit failed"):
+        nested_cv(rows(8), ClassifierSpec("gaussian_nb"), outer_k=3, inner_k=2,
+                  search_iters=5, seed=cv_seed)
+    assert time.perf_counter() - started < 3.0
+
+
+def test_fold_without_search_fits_logs_progress(caplog):
+    # Each outer training portion holds one row of each class, so every
+    # inner split fits on one class and is skipped: no fold has a search
+    # fit, and each refits its first candidate.
+    instances = rows(9, n_users=4, n_periods=1, y=[0, 1, 0, 1])
+    with caplog.at_level(logging.INFO, logger="stancecast.learning"):
+        pooled, serial = both(instances, ClassifierSpec("gaussian_nb"), outer_k=2,
+                              inner_k=2, search_iters=2, seed=0)
+    assert pooled == serial
+    lines = [r.getMessage() for r in caplog.records if r.name == "stancecast.learning"]
+    assert [line.split(", ")[:2] for line in lines] == [
+        ["nested_cv gaussian_nb: fold 1/2", "candidates 2/4"],
+        ["nested_cv gaussian_nb: fold 2/2", "candidates 4/4"],
+    ]

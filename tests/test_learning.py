@@ -1,13 +1,16 @@
 import dataclasses
+import itertools
 import json
 import logging
 import random
+import types
 
 import numpy as np
 import pytest
 
 from stancecast.features import FeatureTable
 from stancecast.stance import STANCE_INDEX, STANCE_ORDER, Stance, StanceAssignment
+from stancecast.learning import cv
 from stancecast.learning.classifiers import (
     DEFAULT_SPACES,
     FAMILIES,
@@ -309,18 +312,23 @@ class TestNestedCV:
         b = nested_cv(instances, spec, outer_k=4, inner_k=2, search_iters=3, seed=9)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
-    def test_progress_logged_per_outer_fold(self, caplog):
+    def test_progress_logged_per_outer_fold(self, caplog, monkeypatch):
         instances = noise_instances(4, n=90)
         spec = ClassifierSpec("gaussian_nb")
         quiet = nested_cv(instances, spec, outer_k=3, inner_k=2, search_iters=2, seed=4)
+        # The clock reads 0 s at the start and 2 s more at each fold's line.
+        ticks = itertools.count(0.0, 2.0)
+        monkeypatch.setattr(cv, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
         with caplog.at_level(logging.INFO, logger="stancecast.learning"):
             logged = nested_cv(instances, spec, outer_k=3, inner_k=2, search_iters=2, seed=4)
         lines = [r.getMessage() for r in caplog.records if r.name == "stancecast.learning"]
-        assert len(lines) == 3
-        for i, line in enumerate(lines, start=1):
-            assert line.startswith(f"nested_cv gaussian_nb: fold {i}/3, candidates {2 * i}/6, ")
-            assert " s elapsed, ETA " in line
-        assert lines[-1].endswith("ETA 0.0 s")
+        # Each fold scores 2 candidates x 2 inner splits; 12 search fits and
+        # 3 refits in all, so the ETA is elapsed / fits done * fits left.
+        assert lines == [
+            "nested_cv gaussian_nb: fold 1/3, candidates 2/6, 2.0 s elapsed, ETA 5.5 s",
+            "nested_cv gaussian_nb: fold 2/3, candidates 4/6, 4.0 s elapsed, ETA 3.5 s",
+            "nested_cv gaussian_nb: fold 3/3, candidates 6/6, 6.0 s elapsed, ETA 1.5 s",
+        ]
         assert json.dumps(logged.to_dict(), sort_keys=True) == \
             json.dumps(quiet.to_dict(), sort_keys=True)
 
