@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .learning.classifiers import FAMILIES, build_classifier, sample_params
 from .synth import SyntheticConfig
@@ -175,7 +175,8 @@ def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = 
 
 
 def _space_problems(spaces: Any) -> list[str]:
-    """Check `learning.spaces` by drawing and building one candidate per family."""
+    """Check `learning.spaces`: one draw checks each dimension's kind and
+    arguments, then every edge value must build the family's classifier."""
     if not isinstance(spaces, dict) or not all(isinstance(s, dict) for s in spaces.values()):
         return ["'learning.spaces' must be an object of objects"]
     problems = []
@@ -184,10 +185,27 @@ def _space_problems(spaces: Any) -> list[str]:
             problems.append(f"unknown classifier family {family!r} in 'learning.spaces'")
             continue
         try:
-            build_classifier(family, sample_params(space, random.Random(0)))
+            sample_params(space, random.Random(0))
+            for params in _edge_params(space):
+                build_classifier(family, params)
         except (ValueError, TypeError, IndexError, OverflowError) as exc:
             problems.append(f"invalid 'learning.spaces.{family}': {exc}")
     return problems
+
+
+def _edge_params(space: dict) -> Iterator[dict]:
+    """One candidate per edge value: every `choice` value and both ends of
+    each `int`/`loguniform` range, the other dimensions at their first edge."""
+    edges = {}
+    for name, (kind, *args) in space.items():
+        if kind == "choice":
+            edges[name] = list(args[0])
+        else:
+            edges[name] = [int(end) for end in args] if kind == "int" else list(args)
+    first = {name: values[0] for name, values in edges.items()}
+    for name, values in edges.items():
+        for value in values:
+            yield {**first, name: value}
 
 
 def _apply_override(raw: dict, override: str) -> None:

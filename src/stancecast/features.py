@@ -6,8 +6,9 @@ composition of the threads the user engaged in, FS0 a TF-IDF textual
 baseline over the corpus top words, and the unions FS4 (FS1+FS2+FS3) and
 FS5 (FS0+FS4). Each set is one `FeatureTable` whose rows end with a
 3-slot one-hot of the user's current stance, shared once inside unions.
-`compute_fs0`-`compute_fs3` return one row's numeric block; `extract_all`
-stacks the blocks and appends the one-hot.
+`compute_fs0`-`compute_fs3` take every (user, period) key at once and
+return the set's numeric block, one row per key; `extract_all` appends
+the one-hot.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from math import log as ln
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +46,8 @@ UNION_PARTS = {"FS4": ("FS1", "FS2", "FS3"), "FS5": ("FS0", "FS1", "FS2", "FS3")
 
 _QUANTILE_LEVELS = (0.0, 0.25, 0.50, 0.75, 1.0)
 
+Key = tuple[str, int]  # (user, period)
+
 
 def numeric_dim(set_id: str, vocab_width: int = 100) -> int:
     return len(schema_columns(set_id, vocab_width=vocab_width))
@@ -54,17 +58,33 @@ def quantiles5(values: Iterable[float]) -> tuple[float, float, float, float, flo
 
     An empty multiset collapses to all zeros.
     """
-    data = sorted(float(v) for v in values)
-    if not data:
-        return (0.0, 0.0, 0.0, 0.0, 0.0)
-    n = len(data)
-    out = []
-    for q in _QUANTILE_LEVELS:
-        h = (n - 1) * q
-        lo = int(h)
-        hi = min(lo + 1, n - 1)
-        out.append(data[lo] + (h - lo) * (data[hi] - data[lo]))
-    return tuple(out)
+    data = [float(v) for v in values]
+    return tuple(grouped_quantiles5(np.zeros(len(data), dtype=np.int64), data, 1)[0].tolist())
+
+
+def grouped_quantiles5(groups: np.ndarray, values: np.ndarray | Sequence[float],
+                       n_groups: int) -> np.ndarray:
+    """`quantiles5` of every group at once, as an (n_groups, 5) float64 block.
+
+    `values[i]` belongs to group `groups[i]`; neither needs any order. Each
+    group's values d, as float64 and sorted, give d[lo] + (h-lo)*(d[hi]-d[lo])
+    at h = (n-1)q, lo = int(h), hi = min(lo+1, n-1): one IEEE operation
+    after another, so every entry is the same bits as the scalar rule's.
+    A group without values gets zeros.
+    """
+    groups = np.asarray(groups, dtype=np.int64)
+    data = np.asarray(values, dtype=np.float64)
+    data = data[np.lexsort((data, groups))]
+    counts = np.bincount(groups, minlength=n_groups)
+    full = counts > 0
+    n = counts[full, None]
+    start = (np.cumsum(counts) - counts)[full, None]
+    h = (n - 1) * np.array(_QUANTILE_LEVELS)
+    lo = h.astype(np.int64)
+    low = data[start + lo]
+    out = np.zeros((n_groups, len(_QUANTILE_LEVELS)))
+    out[full] = low + (h - lo) * (data[start + np.minimum(lo + 1, n - 1)] - low)
+    return out
 
 
 class FeatureRow(NamedTuple):
@@ -145,7 +165,8 @@ _UNLABELED = len(STANCE_ORDER)
 class PeriodUserIndex:
     """Per-period lookups built in one pass over forest, partition and stances.
 
-    `activity` holds each user's posts, comments and threads per period and
+    `activity` holds each user's posts, comments other than auto-comments
+    (replies to the user's own entry) and threads per period, and
     `period_of` the period of every in-range entry. Two tallies count
     entries by their author's stance in the entry's period, as
     (Against, Neutral, Pro, unlabeled):
@@ -208,7 +229,11 @@ def build_period_user_index(
         if entry.is_post:
             slot.posts.append(eid)
         else:
-            slot.comments.append(eid)
+            # An auto-comment's immediate parent has the same author; an
+            # unknown parent makes none.
+            parent = forest.entry_index.get(entry.parent_id)
+            if parent is None or parent.author != entry.author:
+                slot.comments.append(eid)
         thread = forest.thread_of[eid]
         slot.threads.add(thread)
         stance = stances.get(entry.author, period)
@@ -238,45 +263,47 @@ def build_period_user_index(
         stances=stances)
 
 
-def _is_auto_comment(forest: ThreadForest, entry: Entry) -> bool:
-    # A reply whose immediate parent the same user wrote. Unknown parents
-    # cannot be auto-comments.
-    if entry.parent_id is None:
-        return False
-    parent = forest.entry_index.get(entry.parent_id)
-    return parent is not None and parent.author == entry.author
+def _own_entries(keys: Sequence[Key], index: PeriodUserIndex
+                 ) -> tuple[np.ndarray, list[str], np.ndarray, list[str]]:
+    """Every key's countable entries m_i (posts, then non-auto comments) and
+    its non-auto comments, each flat as (row of the key, entry id) arrays."""
+    rows: list[int] = []
+    entries: list[str] = []
+    comment_rows: list[int] = []
+    comments: list[str] = []
+    for row, (user, period) in enumerate(keys):
+        activity = index.user_activity(user, period)
+        rows += repeat(row, len(activity.posts) + len(activity.comments))
+        entries += activity.posts
+        entries += activity.comments
+        comment_rows += repeat(row, len(activity.comments))
+        comments += activity.comments
+    return (np.array(rows, dtype=np.int64), entries,
+            np.array(comment_rows, dtype=np.int64), comments)
 
 
-def _own_entries(
-    forest: ThreadForest, activity: UserPeriodActivity
-) -> tuple[list[str], list[str]]:
-    """(countable entries m_i, non-auto comments) for one user-period."""
-    comments = [
-        cid for cid in activity.comments
-        if not _is_auto_comment(forest, forest.entry_index[cid])
-    ]
-    entries = sorted(
-        activity.posts + comments,
-        key=lambda eid: (forest.entry_index[eid].timestamp, eid),
-    )
-    return entries, comments
+def _require_labeled(unlabeled: np.ndarray, rows: np.ndarray, names: list[str],
+                     keys: Sequence[Key], what: str, order: Callable[[str], object]) -> None:
+    """Raise for the first tally with unlabeled authors: lowest row, then `order` of its name."""
+    bad = np.flatnonzero(unlabeled).tolist()
+    if bad:
+        row, _, first = min((rows[i], order(names[i]), i) for i in bad)
+        raise ValueError(
+            f"{unlabeled[first]} {what} {names[first]!r} have an author "
+            f"with no stance labeled in period {keys[row][1]}; "
+            "labeling must precede feature extraction")
 
 
-def compute_fs1(
-    user: str,
-    period: int,
-    forest: ThreadForest,
-    index: PeriodUserIndex,
-) -> tuple[float, ...]:
-    """Activity features: initiated posts, submitted comments, reply quantiles."""
-    activity = index.user_activity(user, period)
-    own, comments = _own_entries(forest, activity)
-    initiated = len(activity.posts)
-    submitted = len(comments)
-    if initiated + submitted != len(own):
-        raise AssertionError("entry tally does not decompose into posts plus comments")
-    reply_counts = [sum(index.replies[eid]) for eid in own]
-    return (float(initiated), float(submitted), *quantiles5(reply_counts))
+def compute_fs1(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserIndex) -> np.ndarray:
+    """Activity features per key: initiated posts, submitted comments, reply quantiles."""
+    rows, entries, comment_rows, _ = _own_entries(keys, index)
+    submitted = np.bincount(comment_rows, minlength=len(keys))
+    block = np.empty((len(keys), 7))
+    block[:, 0] = np.bincount(rows, minlength=len(keys)) - submitted
+    block[:, 1] = submitted
+    block[:, 2:] = grouped_quantiles5(rows, [sum(index.replies[eid]) for eid in entries],
+                                      len(keys))
+    return block
 
 
 def _parent_stance(
@@ -307,70 +334,42 @@ def _parent_stance(
     return Stance.NEUTRAL
 
 
-def compute_fs2(
-    user: str,
-    period: int,
-    forest: ThreadForest,
-    index: PeriodUserIndex,
-    stances: StanceAssignment,
-) -> tuple[float, ...]:
-    """Interaction features split by the stance of the counterpart."""
+def compute_fs2(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserIndex,
+                stances: StanceAssignment) -> np.ndarray:
+    """Interaction features per key, split by the stance of the counterpart."""
     index.require_stances(stances)
-    activity = index.user_activity(user, period)
-    own, comments = _own_entries(forest, activity)
-
-    sent = {s: 0 for s in STANCE_ORDER}
-    for cid in comments:
-        bucket = _parent_stance(forest, forest.entry_index[cid], period, index, stances)
-        sent[bucket] += 1
-    if sum(sent.values()) != len(comments):
-        raise AssertionError("per-stance comment counts do not sum to the total")
-
-    received: list[list[int]] = [[] for _ in STANCE_ORDER]
-    for eid in own:
-        tally = index.replies[eid]
-        if tally[_UNLABELED]:
-            raise ValueError(
-                f"{tally[_UNLABELED]} in-period repl(ies) to {eid!r} have an author "
-                f"with no stance labeled in period {period}; "
-                "labeling must precede feature extraction"
-            )
-        if sum(tally[:_UNLABELED]) != sum(tally):
-            raise AssertionError("per-stance reply counts do not sum to the total")
-        for counts, n in zip(received, tally):
-            counts.append(n)
-
-    values: list[float] = [float(sent[s]) for s in STANCE_ORDER]
-    for counts in received:
-        values.extend(quantiles5(counts))
-    return tuple(values)
+    rows, entries, comment_rows, comments = _own_entries(keys, index)
+    tallies = np.array([index.replies[eid] for eid in entries], dtype=np.int64).reshape(-1, 4)
+    _require_labeled(tallies[:, _UNLABELED], rows, entries, keys, "in-period repl(ies) to",
+                     order=lambda eid: (forest.entry_index[eid].timestamp, eid))
+    n = len(STANCE_ORDER)
+    buckets = [STANCE_INDEX[_parent_stance(forest, forest.entry_index[cid], keys[row][1],
+                                           index, stances)]
+               for row, cid in zip(comment_rows.tolist(), comments)]
+    sent = np.bincount(comment_rows * n + np.array(buckets, dtype=np.int64),
+                       minlength=len(keys) * n)
+    return np.hstack([sent.reshape(len(keys), n),
+                      *(grouped_quantiles5(rows, tallies[:, k], len(keys)) for k in range(n))])
 
 
-def compute_fs3(
-    user: str,
-    period: int,
-    forest: ThreadForest,
-    index: PeriodUserIndex,
-    stances: StanceAssignment,
-) -> tuple[float, ...]:
-    """Stance composition of the threads the user engaged in."""
+def compute_fs3(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserIndex,
+                stances: StanceAssignment) -> np.ndarray:
+    """Stance composition of the threads each key's user engaged in."""
     index.require_stances(stances)
-    activity = index.user_activity(user, period)
-    per_thread: list[list[int]] = [[] for _ in STANCE_ORDER]
-    for thread in sorted(activity.threads):
-        counts = index.composition[(thread, period)]
-        if counts[_UNLABELED]:
-            raise ValueError(
-                f"{counts[_UNLABELED]} entr(ies) of thread {thread!r} have an author "
-                f"with no stance labeled in period {period}; "
-                "labeling must precede feature extraction"
-            )
-        for per_stance, n in zip(per_thread, counts):
-            per_stance.append(n)
-    values: list[float] = []
-    for counts in per_thread:
-        values.extend(quantiles5(counts))
-    return tuple(values)
+    rows: list[int] = []
+    threads: list[str] = []
+    tallies: list[tuple[int, int, int, int]] = []
+    for row, (user, period) in enumerate(keys):
+        for thread in index.user_activity(user, period).threads:
+            rows.append(row)
+            threads.append(thread)
+            tallies.append(index.composition[(thread, period)])
+    counts = np.array(tallies, dtype=np.int64).reshape(-1, 4)
+    row_of = np.array(rows, dtype=np.int64)
+    _require_labeled(counts[:, _UNLABELED], row_of, threads, keys, "entr(ies) of thread",
+                     order=lambda thread: thread)
+    return np.hstack([grouped_quantiles5(row_of, counts[:, k], len(keys))
+                      for k in range(len(STANCE_ORDER))])
 
 
 def build_vocab_top_words(entries: Iterable[Entry], limit: int = 100) -> list[str]:
@@ -406,30 +405,36 @@ def build_document_index(
     return documents
 
 
-def build_idf(documents: Mapping[tuple[str, int], Counter], vocab: Sequence[str]) -> list[float]:
-    """Smoothed inverse document frequency: ln((1+D)/(1+df)) + 1."""
-    total = len(documents)
-    df = {word: 0 for word in vocab}
-    for counter in documents.values():
-        for word in vocab:
-            if counter.get(word):
-                df[word] += 1
-    return [ln((1 + total) / (1 + df[word])) + 1.0 for word in vocab]
+def term_counts(documents: Iterable[Counter], vocab: Sequence[str]) -> np.ndarray:
+    """(document × vocab) raw term counts, one int64 row per document."""
+    documents = list(documents)
+    flat = chain.from_iterable(map(counter.get, vocab, repeat(0)) for counter in documents)
+    return np.fromiter(flat, dtype=np.int64, count=len(documents) * len(vocab)).reshape(
+        len(documents), len(vocab))
 
 
-def compute_fs0(
-    user: str,
-    period: int,
-    vocab: Sequence[str],
-    idf: Sequence[float],
-    documents: Mapping[tuple[str, int], Counter],
-    width: int = 100,
-) -> tuple[float, ...]:
-    """TF-IDF of the top corpus words over the user's period document."""
-    counter = documents.get((user, period), Counter())
-    values = [float(counter.get(word, 0) * idf[i]) for i, word in enumerate(vocab)]
-    values.extend(0.0 for _ in range(width - len(vocab)))
-    return tuple(values)
+def build_idf(counts: np.ndarray) -> list[float]:
+    """Smoothed inverse document frequency of each column of a (document × vocab)
+    count matrix: ln((1+D)/(1+df)) + 1."""
+    total = counts.shape[0]
+    return [ln((1 + total) / (1 + df)) + 1.0
+            for df in np.count_nonzero(counts, axis=0).tolist()]
+
+
+def compute_fs0(keys: Sequence[Key], vocab: Sequence[str], documents: Mapping[Key, Counter],
+                width: int = 100) -> np.ndarray:
+    """TF-IDF of the top corpus words over each key's period document.
+
+    Every document in `documents` is in the IDF universe; a key without
+    a document gets zeros.
+    """
+    position = {key: i for i, key in enumerate(documents)}
+    # The last row is the empty document of a key that has none.
+    counts = term_counts([*documents.values(), Counter()], vocab)
+    block = np.zeros((len(keys), width))
+    block[:, :len(vocab)] = (counts[[position.get(key, -1) for key in keys]]
+                             * np.array(build_idf(counts[:-1])))
+    return block
 
 
 def assemble_union(tables: Sequence[FeatureTable], set_id: str) -> FeatureTable:
@@ -478,17 +483,13 @@ def extract_all(
         needed.update(UNION_PARTS.get(set_id, ()))
 
     entries = list(forest.entry_index.values())
-    idf: list[float] = []
-    documents: dict[tuple[str, int], Counter] = {}
+    documents: dict[Key, Counter] = {}
     if "FS0" in needed:
         if vocab is None:
             in_range = [e for e in entries
                         if partition.period_of(e.timestamp) is not None]
             vocab = build_vocab_top_words(in_range, limit=vocab_width)
         documents = build_document_index(entries, partition)
-        idf = build_idf(documents, vocab)
-    else:
-        vocab = vocab or []
 
     keys = [(user, period) for period in range(partition.n_periods)
             for user in index.users(period) if user != SENTINEL_AUTHOR]
@@ -501,21 +502,17 @@ def extract_all(
     users = tuple(user for user, _ in keys)
     periods = np.array([period for _, period in keys], dtype=np.int64)
 
-    blocks: dict[str, list[tuple[float, ...]]] = {}
+    blocks: dict[str, np.ndarray] = {}
     if "FS1" in needed:
-        blocks["FS1"] = [compute_fs1(u, t, forest, index) for u, t in keys]
+        blocks["FS1"] = compute_fs1(keys, forest, index)
     if "FS2" in needed:
-        blocks["FS2"] = [compute_fs2(u, t, forest, index, stances) for u, t in keys]
+        blocks["FS2"] = compute_fs2(keys, forest, index, stances)
     if "FS3" in needed:
-        blocks["FS3"] = [compute_fs3(u, t, forest, index, stances) for u, t in keys]
+        blocks["FS3"] = compute_fs3(keys, forest, index, stances)
     if "FS0" in needed:
-        blocks["FS0"] = [compute_fs0(u, t, vocab, idf, documents, width=vocab_width)
-                         for u, t in keys]
-    tables = {}
-    for set_id, rows in blocks.items():
-        numeric = np.array(rows, dtype=np.float64).reshape(
-            len(keys), numeric_dim(set_id, vocab_width) - len(STANCE_ORDER))
-        tables[set_id] = FeatureTable(set_id, users, periods, np.hstack([numeric, onehot]))
+        blocks["FS0"] = compute_fs0(keys, vocab, documents, width=vocab_width)
+    tables = {set_id: FeatureTable(set_id, users, periods, np.hstack([block, onehot]))
+              for set_id, block in blocks.items()}
     for set_id in UNION_PARTS:
         if set_id in needed:
             tables[set_id] = assemble_union(list(tables.values()), set_id)

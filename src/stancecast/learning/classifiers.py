@@ -179,6 +179,8 @@ class RandomForestClassifier:
 
     def __init__(self, n_trees: int = 100, max_depth: int = 10,
                  max_features: str = "sqrt"):
+        if max_features not in ("sqrt", "third", "all"):
+            raise ValueError(f"unknown feature subset mode {max_features!r}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features
@@ -190,9 +192,7 @@ class RandomForestClassifier:
             return max(1, int(math.sqrt(d)))
         if self.max_features == "third":
             return max(1, d // 3)
-        if self.max_features == "all":
-            return d
-        raise ValueError(f"unknown feature subset mode {self.max_features!r}")
+        return d
 
     def fit(self, X, y, n_classes, seed=0):
         _validate_training(X, y)

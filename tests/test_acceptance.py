@@ -74,10 +74,10 @@ def test_criterion_1_structural_identities():
         for period in range(2):
             for user in index.users(period):
                 fs1 = dict(zip(fs1_names,
-                               compute_fs1(user, period, forest, index)))
+                               tuple(compute_fs1([(user, period)], forest, index)[0])))
                 fs2 = dict(zip(fs2_names,
-                               compute_fs2(user, period, forest, index, stances)))
-                fs3 = compute_fs3(user, period, forest, index, stances)
+                               tuple(compute_fs2([(user, period)], forest, index, stances)[0])))
+                fs3 = tuple(compute_fs3([(user, period)], forest, index, stances)[0])
                 checked_vectors += 1
                 n_t = len(index.user_activity(user, period).posts) + fs1["CS_t"]
                 if fs1["ID_t"] + fs1["CS_t"] != n_t:
@@ -156,9 +156,9 @@ def test_criterion_3_oracle_equivalence():
     index = build_period_user_index(forest, corpus.partition, stances)
     for period in range(corpus.partition.n_periods):
         for user in index.users(period):
-            fs1 = compute_fs1(user, period, forest, index)
-            fs2 = compute_fs2(user, period, forest, index, stances)
-            fs3 = compute_fs3(user, period, forest, index, stances)
+            fs1 = tuple(compute_fs1([(user, period)], forest, index)[0])
+            fs2 = tuple(compute_fs2([(user, period)], forest, index, stances)[0])
+            fs3 = tuple(compute_fs3([(user, period)], forest, index, stances)[0])
             n1, n2, n3 = naive_user_period_features(
                 user, period, corpus.entries, corpus.partition.cutoffs, corpus.stances)
             if fs1 != n1 or fs2 != n2 or fs3 != n3:

@@ -514,7 +514,11 @@ def test_invalid_synth_value_is_config_error(tmp_path, capsys):
      "unknown space kind 'uniform'"),
     ({"random_forest": {"n_tree": ["int", 3, 3]}}, "'n_tree'"),
     ({"svm": {"c": ["loguniform", 0.1, 10.0]}}, "'svm'"),
-], ids=["unknown-kind", "unknown-name", "unknown-family"])
+    # One seeded draw from either space passes; every value must be checked.
+    ({"random_forest": {"max_features": ["choice", ["bogus"]]}},
+     "unknown feature subset mode 'bogus'"),
+    ({"knn": {"k": ["int", 0, 5]}}, "k must be at least 1, got 0"),
+], ids=["unknown-kind", "unknown-name", "unknown-family", "bad-choice", "bad-range-end"])
 def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, message):
     tmp_path, config = pipeline_dir
     for command in ("ingest", "label", "features"):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stancecast.corpus import Entry, TimePartition, build_forest, extract_diffusions
+from stancecast.corpus import (
+    SENTINEL_AUTHOR,
+    Entry,
+    TimePartition,
+    build_forest,
+    extract_diffusions,
+)
 from stancecast.features import (
     SET_IDS,
     SYMBOLIC_COUNTS,
@@ -24,9 +30,11 @@ from stancecast.features import (
     extract_all,
     feature_table_from_tsv,
     feature_table_tsv,
+    grouped_quantiles5,
     numeric_dim,
     quantiles5,
     schema_columns,
+    term_counts,
 )
 from stancecast.stance import STANCE_ORDER, Stance, StanceAssignment
 from stancecast.synth import SyntheticConfig, generate_synthetic_corpus
@@ -65,6 +73,41 @@ class TestQuantiles5:
         if data:
             assert q[0] == min(data)
             assert q[-1] == max(data)
+
+
+def reference_quantiles5(values):
+    """The scalar quantile rule as it was before the grouped kernel, frozen."""
+    data = sorted(float(v) for v in values)
+    if not data:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    n = len(data)
+    out = []
+    for q in (0.0, 0.25, 0.50, 0.75, 1.0):
+        h = (n - 1) * q
+        lo = int(h)
+        hi = min(lo + 1, n - 1)
+        out.append(data[lo] + (h - lo) * (data[hi] - data[lo]))
+    return tuple(out)
+
+
+class TestGroupedQuantiles:
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matches_scalar_rule_bit_for_bit(self, data):
+        # Few distinct small values make ties; the wide range reaches 2**53.
+        value = st.integers(0, 3) | st.integers(-2**53, 2**53) | st.sampled_from([2**53, -2**53])
+        groups = data.draw(st.lists(st.lists(value, max_size=9), max_size=8))
+        n_groups = len(groups) + data.draw(st.integers(0, 2))
+        pairs = data.draw(st.permutations([(g, v) for g, values in enumerate(groups)
+                                           for v in values]))
+        block = grouped_quantiles5(np.array([g for g, _ in pairs], dtype=np.int64),
+                                   np.array([v for _, v in pairs], dtype=np.int64), n_groups)
+        assert block.shape == (n_groups, 5) and block.dtype == np.float64
+        for g in range(n_groups):
+            values = groups[g] if g < len(groups) else []
+            expected = np.array(reference_quantiles5(values), dtype=np.float64)
+            assert block[g].tobytes() == expected.tobytes(), (g, values)
+            assert np.array(quantiles5(values)).tobytes() == expected.tobytes()
 
 
 def assignment(mapping):
@@ -117,7 +160,7 @@ class TestFS1:
         forest = build_forest(entries)
         stances = assignment({(u, 0): N for u in ("amy", "ben", "cat")})
         index = build_period_user_index(forest, partition, stances)
-        fv = compute_fs1("amy", 0, forest, index)
+        fv = tuple(compute_fs1([("amy", 0)], forest, index)[0])
         initiated, submitted = fv[0], fv[1]
         assert (initiated, submitted) == (1.0, 2.0)
         assert fv[2:7] == (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -128,12 +171,12 @@ class TestFS1:
         forest = build_forest(entries)
         stances = assignment({("amy", 0): A})
         index = build_period_user_index(forest, partition, stances)
-        fv = compute_fs1("amy", 0, forest, index)
+        fv = tuple(compute_fs1([("amy", 0)], forest, index)[0])
         assert fv[:7] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_auto_comments_excluded(self):
         forest, index, stances = build_case()
-        fv = compute_fs1("amy", 0, forest, index)
+        fv = tuple(compute_fs1([("amy", 0)], forest, index)[0])
         # a1 post; a2 comment; a3 is an auto-comment so not counted
         assert fv[0] == 1.0
         assert fv[1] == 1.0
@@ -141,12 +184,12 @@ class TestFS1:
     def test_inactive_user_rejected(self):
         forest, index, stances = build_case()
         with pytest.raises(ValueError):
-            compute_fs1("ghost", 0, forest, index)
+            compute_fs1([("ghost", 0)], forest, index)
 
     def test_symbolic_count(self):
         assert SYMBOLIC_COUNTS["FS1"] == 8
         forest, index, stances = build_case()
-        fv = compute_fs1("amy", 0, forest, index)
+        fv = tuple(compute_fs1([("amy", 0)], forest, index)[0])
         assert len(fv) + 3 == numeric_dim("FS1") == 10
 
 
@@ -158,7 +201,7 @@ class TestFS2:
         forest = build_forest(entries)
         stances = assignment({("amy", 0): N, **{(f"fan{i}", 0): P for i in range(4)}})
         index = build_period_user_index(forest, partition, stances)
-        fv = compute_fs2("amy", 0, forest, index, stances)
+        fv = tuple(compute_fs2([("amy", 0)], forest, index, stances)[0])
         names = schema_columns("FS2")
         row = dict(zip(names, fv))
         for q in range(1, 6):
@@ -168,7 +211,7 @@ class TestFS2:
 
     def test_comment_under_against_author(self):
         forest, index, stances = build_case()
-        fv = compute_fs2("amy", 0, forest, index, stances)
+        fv = tuple(compute_fs2([("amy", 0)], forest, index, stances)[0])
         names = schema_columns("FS2")
         row = dict(zip(names, fv))
         # amy's one counted comment (a2) sits under ben (Against)
@@ -182,17 +225,17 @@ class TestFS2:
         index = build_period_user_index(forest, TimePartition((0, 100)), partial)
         # dan replies below amy's comment a2 and is in amy's only thread:
         # FS1 does not need dan's stance, FS2 and FS3 do.
-        fs1 = compute_fs1("amy", 0, forest, index)
-        assert fs1 == compute_fs1("amy", 0, forest, full_index)
+        fs1 = tuple(compute_fs1([("amy", 0)], forest, index)[0])
+        assert fs1 == tuple(compute_fs1([("amy", 0)], forest, full_index)[0])
         with pytest.raises(ValueError):
-            compute_fs2("amy", 0, forest, index, partial)
+            compute_fs2([("amy", 0)], forest, index, partial)
         with pytest.raises(ValueError):
-            compute_fs3("amy", 0, forest, index, partial)
+            compute_fs3([("amy", 0)], forest, index, partial)
 
     def test_symbolic_count(self):
         assert SYMBOLIC_COUNTS["FS2"] == 19
         forest, index, stances = build_case()
-        fv = compute_fs2("amy", 0, forest, index, stances)
+        fv = tuple(compute_fs2([("amy", 0)], forest, index, stances)[0])
         assert len(fv) + 3 == numeric_dim("FS2") == 21
 
 
@@ -210,7 +253,7 @@ class TestFS3:
         stances = assignment({("ann", 0): A, ("bob", 0): A, ("cal", 0): A,
                               ("pat", 0): P})
         index = build_period_user_index(forest, partition, stances)
-        fv = compute_fs3("pat", 0, forest, index, stances)
+        fv = tuple(compute_fs3([("pat", 0)], forest, index, stances)[0])
         row = dict(zip(schema_columns("FS3"), fv))
         for q in range(1, 6):
             assert row[f"UP_t^{{A{q}}}"] == 3.0
@@ -237,14 +280,14 @@ class TestFS3:
         index = build_period_user_index(forest, partition, stances)
         # Against counts per thread: {1, 5} -> wait, p1 has k1 (1 A),
         # p2 has k2..k6 (5 A); ann herself is P in both.
-        fv = compute_fs3("ann", 0, forest, index, stances)
+        fv = tuple(compute_fs3([("ann", 0)], forest, index, stances)[0])
         row = dict(zip(schema_columns("FS3"), fv))
         assert [row[f"UP_t^{{A{q}}}"] for q in range(1, 6)] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert [row[f"UP_t^{{P{q}}}"] for q in range(1, 6)] == [1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_own_entries_counted_in_composition(self):
         forest, index, stances = build_case()
-        fv = compute_fs3("dan", 0, forest, index, stances)
+        fv = tuple(compute_fs3([("dan", 0)], forest, index, stances)[0])
         row = dict(zip(schema_columns("FS3"), fv))
         # the single thread holds amy(P) x3, ben(A), cat(P), dan(N)
         assert row["UP_t^{P1}"] == 4.0
@@ -254,7 +297,7 @@ class TestFS3:
     def test_symbolic_count(self):
         assert SYMBOLIC_COUNTS["FS3"] == 16
         forest, index, stances = build_case()
-        fv = compute_fs3("amy", 0, forest, index, stances)
+        fv = tuple(compute_fs3([("amy", 0)], forest, index, stances)[0])
         assert len(fv) + 3 == numeric_dim("FS3") == 18
 
 
@@ -280,8 +323,7 @@ class TestVocabAndFS0:
         entries = [Entry("a", "amy", "", 10)]
         docs = build_document_index(entries, partition)
         vocab = ["brexit"]
-        idf = build_idf(docs, vocab)
-        fv = compute_fs0("amy", 0, vocab, idf, docs, width=100)
+        fv = tuple(compute_fs0([("amy", 0)], vocab, docs, width=100)[0])
         assert fv == tuple([0.0] * 100)
         assert len(fv) + 3 == numeric_dim("FS0") == 103
 
@@ -291,9 +333,9 @@ class TestVocabAndFS0:
                    Entry("b", "ben", "brexit", 20, "a")]
         docs = build_document_index(entries, partition)
         vocab = ["brexit"]
-        idf = build_idf(docs, vocab)
+        idf = build_idf(term_counts(docs.values(), vocab))
         assert idf[0] == pytest.approx(1.0)
-        fv = compute_fs0("amy", 0, vocab, idf, docs, width=100)
+        fv = tuple(compute_fs0([("amy", 0)], vocab, docs, width=100)[0])
         assert fv[0] == pytest.approx(2.0)  # tf * idf = 2 * 1
 
     def test_idf_formula(self):
@@ -302,7 +344,7 @@ class TestVocabAndFS0:
                    Entry("b", "ben", "deal", 20, "a"),
                    Entry("c", "cat", "deal", 30, "a")]
         docs = build_document_index(entries, partition)
-        idf = build_idf(docs, ["brexit", "deal"])
+        idf = build_idf(term_counts(docs.values(), ["brexit", "deal"]))
         assert idf[0] == pytest.approx(ln(4 / 2) + 1)
         assert idf[1] == pytest.approx(ln(4 / 3) + 1)
 
@@ -466,9 +508,9 @@ class TestNaiveOracleEquivalence:
             index = build_period_user_index(forest, partition, stances)
             for period in range(partition.n_periods):
                 for user in index.users(period):
-                    fs1 = compute_fs1(user, period, forest, index)
-                    fs2 = compute_fs2(user, period, forest, index, stances)
-                    fs3 = compute_fs3(user, period, forest, index, stances)
+                    fs1 = tuple(compute_fs1([(user, period)], forest, index)[0])
+                    fs2 = tuple(compute_fs2([(user, period)], forest, index, stances)[0])
+                    fs3 = tuple(compute_fs3([(user, period)], forest, index, stances)[0])
                     n1, n2, n3 = naive_user_period_features(
                         user, period, entries, partition.cutoffs, stances.stance)
                     assert fs1 == n1
@@ -485,9 +527,9 @@ class TestNaiveOracleEquivalence:
         index = build_period_user_index(forest, corpus.partition, stances)
         for period in range(corpus.partition.n_periods):
             for user in index.users(period):
-                fs1 = compute_fs1(user, period, forest, index)
-                fs2 = compute_fs2(user, period, forest, index, stances)
-                fs3 = compute_fs3(user, period, forest, index, stances)
+                fs1 = tuple(compute_fs1([(user, period)], forest, index)[0])
+                fs2 = tuple(compute_fs2([(user, period)], forest, index, stances)[0])
+                fs3 = tuple(compute_fs3([(user, period)], forest, index, stances)[0])
                 n1, n2, n3 = naive_user_period_features(
                     user, period, corpus.entries, corpus.partition.cutoffs,
                     corpus.stances)
@@ -504,9 +546,9 @@ class TestNaiveOracleEquivalence:
             for user in index.users(period):
                 n1, n2, n3 = naive_user_period_features(
                     user, period, entries, partition.cutoffs, stances.stance)
-                assert compute_fs1(user, period, forest, index) == n1
-                assert compute_fs2(user, period, forest, index, stances) == n2
-                assert compute_fs3(user, period, forest, index, stances) == n3
+                assert tuple(compute_fs1([(user, period)], forest, index)[0]) == n1
+                assert tuple(compute_fs2([(user, period)], forest, index, stances)[0]) == n2
+                assert tuple(compute_fs3([(user, period)], forest, index, stances)[0]) == n3
                 checked += 1
         return checked
 
@@ -520,6 +562,45 @@ class TestNaiveOracleEquivalence:
         assert depth >= 20
         stances = StanceAssignment.from_truth(corpus.stances)
         assert self._assert_matches_oracle(corpus.entries, corpus.partition, stances) > 0
+
+    @staticmethod
+    def _assert_tables_match_oracle(entries, partition, stances):
+        tables = extract_all(build_forest(entries), partition, stances,
+                             sets=("FS1", "FS2", "FS3"))
+        keys = list(zip(tables["FS1"].users, tables["FS1"].periods.tolist()))
+        active = {(e.author, partition.period_of(e.timestamp)) for e in entries
+                  if partition.period_of(e.timestamp) is not None}
+        assert sorted(keys, key=lambda k: (k[1], k[0])) == keys
+        assert set(keys) == {key for key in active if key[0] != SENTINEL_AUTHOR}
+        for row, (user, period) in enumerate(keys):
+            expected = naive_user_period_features(
+                user, period, entries, partition.cutoffs, stances.stance)
+            for set_id, values in zip(("FS1", "FS2", "FS3"), expected):
+                assert tuple(tables[set_id].values[row, :-3].tolist()) == values, \
+                    (set_id, user, period)
+        return len(keys)
+
+    def test_multi_row_tables_match_oracle(self):
+        # Trees start before the range and run past it, so parents and
+        # repliers fall outside it; u0 writes as the sentinel author.
+        rng = random.Random(31)
+        for trial in range(8):
+            entries = []
+            for t in range(rng.randint(2, 4)):
+                entries.extend(random_tree_entries(
+                    rng, rng.randint(1, 60), n_users=6, span=250,
+                    start=rng.choice([-40, 5, 105]), prefix=f"mr{trial}_{t}_"))
+            entries = [dataclasses.replace(e, author=SENTINEL_AUTHOR) if e.author == "u0"
+                       else e for e in entries]
+            partition = TimePartition((0, 100, 200))
+            stances = random_stances(rng, entries, partition)
+            assert self._assert_tables_match_oracle(entries, partition, stances) > 1
+        config = SyntheticConfig(n_users=30, n_periods=2, threads_per_period=2,
+                                 entries_per_user=2, chain_bias=1.0)
+        corpus = generate_synthetic_corpus(config, seed=6)
+        stances = StanceAssignment.from_truth(corpus.stances)
+        assert self._assert_tables_match_oracle(
+            corpus.entries, corpus.partition, stances) > 20
 
     def test_deep_chain_across_period_boundary_matches(self):
         # A 300-deep reply chain, one entry per second, cut into two periods
@@ -547,9 +628,28 @@ class TestIndexChecks:
         forest, index, stances = build_case()
         other = assignment(dict(stances.stance))
         with pytest.raises(ValueError):
-            compute_fs2("amy", 0, forest, index, other)
+            compute_fs2([("amy", 0)], forest, index, other)
         with pytest.raises(ValueError):
-            compute_fs3("amy", 0, forest, index, other)
+            compute_fs3([("amy", 0)], forest, index, other)
+
+    def test_first_unlabeled_offender_named(self):
+        # zed has no stance. Row order (amy, ben) comes first, then FS2 takes
+        # amy's entries in (timestamp, id) order and FS3 her threads sorted.
+        entries = [
+            Entry("a", "ben", "", 5), Entry("za", "zed", "", 6, "a"),
+            Entry("p1", "amy", "", 10), Entry("z1", "zed", "", 11, "p1"),
+            Entry("p0", "amy", "", 30), Entry("z0", "zed", "", 31, "p0"),
+        ]
+        forest = build_forest(entries)
+        stances = assignment({("amy", 0): P, ("ben", 0): A})
+        index = build_period_user_index(forest, TimePartition((0, 100)), stances)
+        keys = [("amy", 0), ("ben", 0)]
+        tail = " have an author with no stance labeled in period 0; " \
+               "labeling must precede feature extraction$"
+        with pytest.raises(ValueError, match="^1 in-period repl\\(ies\\) to 'p1'" + tail):
+            compute_fs2(keys, forest, index, stances)
+        with pytest.raises(ValueError, match="^1 entr\\(ies\\) of thread 'p0'" + tail):
+            compute_fs3(keys, forest, index, stances)
 
     def test_child_earlier_than_parent_rejected(self):
         forest, _, stances = build_case()
@@ -572,9 +672,9 @@ class TestInvariants:
             for period in range(2):
                 for user in index.users(period):
                     fs1 = dict(zip(names["FS1"],
-                                   compute_fs1(user, period, forest, index)))
+                                   tuple(compute_fs1([(user, period)], forest, index)[0])))
                     fs2 = dict(zip(names["FS2"],
-                                   compute_fs2(user, period, forest, index, stances)))
+                                   tuple(compute_fs2([(user, period)], forest, index, stances)[0])))
                     assert fs2["CS_t^A"] + fs2["CS_t^N"] + fs2["CS_t^P"] == fs1["CS_t"]
 
     def test_entry_order_irrelevant(self):
@@ -604,7 +704,7 @@ class TestInvariants:
         mapping.update({(f"a{i}", 0): A for i in range(5)})
         stances = assignment(mapping)
         index = build_period_user_index(forest, partition, stances)
-        fv = compute_fs3("u", 0, forest, index, stances)
+        fv = tuple(compute_fs3([("u", 0)], forest, index, stances)[0])
         row = dict(zip(schema_columns("FS3"), fv))
         for q in range(1, 6):
             assert row[f"UP_t^{{A{q}}}"] >= row[f"UP_t^{{P{q}}}"]
