@@ -7,8 +7,9 @@ baseline over the corpus top words, and the unions FS4 (FS1+FS2+FS3) and
 FS5 (FS0+FS4). Each set is one `FeatureTable` whose rows end with a
 3-slot one-hot of the user's current stance, shared once inside unions.
 `compute_fs0`-`compute_fs3` take every (user, period) key at once and
-return the set's numeric block, one row per key; `extract_all` appends
-the one-hot.
+return the set's numeric block, one row per key; `extract_all` writes each
+block and the one-hot into one values array per set, and FS0 counts its
+terms straight into that array.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from math import log as ln
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -103,7 +104,7 @@ class FeatureTable:
     and the values match bit for bit. A union from `assemble_union` keeps
     its constituent tables in `parts`, so `feature_table_tsv` renders it
     from their text; `dataclasses.replace` gives a table without parts.
-    The rendered text is cached, so `values` must not change in place.
+    The rendered row text is cached, so `values` must not change in place.
     """
 
     set_id: str
@@ -137,15 +138,11 @@ class FeatureTable:
     def _row_text(self) -> list[list[str]]:
         """Each row's numeric block, then its one-hot, as tab-joined reprs.
 
-        One list per block that has columns. Rendered once per table: a
-        union joins its parts' numeric text and takes its first part's
-        one-hot text, so it formats no float again.
+        One list per block that has columns, rendered once per table, so a
+        union rendered from its parts formats no float again.
         """
-        if self.parts:
-            return [*(text for part in self.parts for text in part._row_text[:-1]),
-                    self.parts[0]._row_text[-1]]
-        # tolist() gives Python floats, whose repr is the shortest exact round-trip form
-        return [["\t".join(map(repr, row)) for row in block.tolist()]
+        # A Python float's repr is the shortest exact round-trip form; a row at a time
+        return [["\t".join(map(repr, row.tolist())) for row in block]
                 for block in (self.values[:, :-3], self.values[:, -3:]) if block.shape[1]]
 
 
@@ -391,49 +388,39 @@ def build_vocab_top_words(entries: Iterable[Entry], limit: int = 100) -> list[st
 
 def build_document_index(
     entries: Iterable[Entry], partition: TimePartition
-) -> dict[tuple[str, int], Counter]:
-    """Preprocessed token counts of each (user, period) document.
+) -> dict[Key, list[Entry]]:
+    """The entries of each (user, period) document, in (timestamp, id) order.
 
     Documents exist for every non-sentinel user active in a period; they
     are both the TF source and the IDF document universe.
     """
-    documents: dict[tuple[str, int], Counter] = {}
-    for (user, period), group in group_user_period(entries, partition).items():
-        if user == SENTINEL_AUTHOR:
-            continue
-        documents[(user, period)] = Counter(t for e in group for t in e.tokens)
-    return documents
+    return {key: group for key, group in group_user_period(entries, partition).items()
+            if key[0] != SENTINEL_AUTHOR}
 
 
-def term_counts(documents: Iterable[Counter], vocab: Sequence[str]) -> np.ndarray:
-    """(document × vocab) raw term counts, one int64 row per document."""
-    documents = list(documents)
-    flat = chain.from_iterable(map(counter.get, vocab, repeat(0)) for counter in documents)
-    return np.fromiter(flat, dtype=np.int64, count=len(documents) * len(vocab)).reshape(
-        len(documents), len(vocab))
-
-
-def build_idf(counts: np.ndarray) -> list[float]:
-    """Smoothed inverse document frequency of each column of a (document × vocab)
-    count matrix: ln((1+D)/(1+df)) + 1."""
-    total = counts.shape[0]
-    return [ln((1 + total) / (1 + df)) + 1.0
-            for df in np.count_nonzero(counts, axis=0).tolist()]
-
-
-def compute_fs0(keys: Sequence[Key], vocab: Sequence[str], documents: Mapping[Key, Counter],
-                width: int = 100) -> np.ndarray:
+def compute_fs0(keys: Sequence[Key], vocab: Sequence[str],
+                documents: Mapping[Key, Sequence[Entry]], width: int = 100,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """TF-IDF of the top corpus words over each key's period document.
 
-    Every document in `documents` is in the IDF universe; a key without
-    a document gets zeros.
+    The IDF, ln((1+D)/(1+df)) + 1, is over all D `documents`; a key without
+    a document gets zeros. Counts go straight into `out`, a (len(keys), width)
+    float64 array or view, when given, and are multiplied once by the IDF.
     """
-    position = {key: i for i, key in enumerate(documents)}
-    # The last row is the empty document of a key that has none.
-    counts = term_counts([*documents.values(), Counter()], vocab)
-    block = np.zeros((len(keys), width))
-    block[:, :len(vocab)] = (counts[[position.get(key, -1) for key in keys]]
-                             * np.array(build_idf(counts[:-1])))
+    block = np.empty((len(keys), width)) if out is None else out
+    block.fill(0.0)
+    counts = block[:, :len(vocab)]
+    column = {word: j for j, word in enumerate(vocab)}
+    rows: dict[Key, list[int]] = {}
+    for row, key in enumerate(keys):
+        rows.setdefault(key, []).append(row)
+    df = np.zeros(len(vocab), dtype=np.int64)
+    for key, document in documents.items():
+        tf = np.bincount(np.array([j for entry in document for j in map(column.get, entry.tokens)
+                                   if j is not None], dtype=np.intp), minlength=len(vocab))
+        df += tf > 0
+        counts[rows.get(key, [])] = tf
+    counts *= [ln((1 + len(documents)) / (1 + n)) + 1.0 for n in df.tolist()]
     return block
 
 
@@ -483,11 +470,10 @@ def extract_all(
         needed.update(UNION_PARTS.get(set_id, ()))
 
     entries = list(forest.entry_index.values())
-    documents: dict[Key, Counter] = {}
+    documents: dict[Key, list[Entry]] = {}
     if "FS0" in needed:
         if vocab is None:
-            in_range = [e for e in entries
-                        if partition.period_of(e.timestamp) is not None]
+            in_range = [e for e in entries if partition.period_of(e.timestamp) is not None]
             vocab = build_vocab_top_words(in_range, limit=vocab_width)
         documents = build_document_index(entries, partition)
 
@@ -502,17 +488,19 @@ def extract_all(
     users = tuple(user for user, _ in keys)
     periods = np.array([period for _, period in keys], dtype=np.int64)
 
-    blocks: dict[str, np.ndarray] = {}
-    if "FS1" in needed:
-        blocks["FS1"] = compute_fs1(keys, forest, index)
-    if "FS2" in needed:
-        blocks["FS2"] = compute_fs2(keys, forest, index, stances)
-    if "FS3" in needed:
-        blocks["FS3"] = compute_fs3(keys, forest, index, stances)
-    if "FS0" in needed:
-        blocks["FS0"] = compute_fs0(keys, vocab, documents, width=vocab_width)
-    tables = {set_id: FeatureTable(set_id, users, periods, np.hstack([block, onehot]))
-              for set_id, block in blocks.items()}
+    blocks = {"FS1": lambda: compute_fs1(keys, forest, index),
+              "FS2": lambda: compute_fs2(keys, forest, index, stances),
+              "FS3": lambda: compute_fs3(keys, forest, index, stances)}
+    tables: dict[str, FeatureTable] = {}
+    for set_id in (*blocks, "FS0"):
+        if set_id in needed:
+            values = np.empty((len(keys), numeric_dim(set_id, vocab_width)))
+            if set_id == "FS0":  # counted in place
+                compute_fs0(keys, vocab, documents, width=vocab_width, out=values[:, :-3])
+            else:
+                values[:, :-3] = blocks[set_id]()
+            values[:, -3:] = onehot
+            tables[set_id] = FeatureTable(set_id, users, periods, values)
     for set_id in UNION_PARTS:
         if set_id in needed:
             tables[set_id] = assemble_union(list(tables.values()), set_id)
@@ -524,10 +512,7 @@ def extract_all(
 # ---------------------------------------------------------------------------
 
 def _stance_block_names(prefix: str) -> list[str]:
-    names = []
-    for s in STANCE_ORDER:
-        names.extend(f"{prefix}^{{{s.value}{q}}}" for q in range(1, 6))
-    return names
+    return [f"{prefix}^{{{s.value}{q}}}" for s in STANCE_ORDER for q in range(1, 6)]
 
 
 def schema_columns(set_id: str, vocab: Optional[Sequence[str]] = None,
@@ -547,15 +532,47 @@ def schema_columns(set_id: str, vocab: Optional[Sequence[str]] = None,
     return columns + [f"c_t={s.value}" for s in STANCE_ORDER]
 
 
+_TSV_CHUNK_ROWS = 512  # rows per chunk of rendered TSV text
+_PARSE_CHUNK_CHARS = 1 << 18  # characters split into lines at once by the parser
+
+
+def feature_table_chunks(set_id: str, parts: Sequence[FeatureTable]) -> Iterator[str]:
+    """The TSV of `set_id` with a (user, period, set_id, f_*) header, in chunks
+    of whole rows: the numeric blocks of `parts` in order, then the first
+    part's one-hot. One part renders itself; a union's constituents, in
+    `UNION_PARTS` order, render the union without assembling its values."""
+    first = parts[0]
+    if not len(first):
+        yield "user\tperiod\tset_id\n"
+        return
+    width = sum(part.values.shape[1] - 3 for part in parts) + 3
+    yield "\t".join(["user", "period", "set_id"] + [f"f_{i}" for i in range(width)]) + "\n"
+    text = [*(block for part in parts for block in part._row_text[:-1]), first._row_text[-1]]
+    periods = first.periods.tolist()
+    for start in range(0, len(first), _TSV_CHUNK_ROWS):
+        rows = slice(start, start + _TSV_CHUNK_ROWS)
+        yield "".join(
+            "\t".join([user, str(period), set_id, *blocks]) + "\n"
+            for user, period, *blocks in zip(first.users[rows], periods[rows],
+                                             *(block[rows] for block in text)))
+
+
 def feature_table_tsv(table: FeatureTable) -> str:
     """Render one feature set as a TSV with a (user, period, set_id, f_*) header."""
-    if not len(table):
-        return "user\tperiod\tset_id\n"
-    header = ["user", "period", "set_id"] + [f"f_{i}" for i in range(table.values.shape[1])]
-    lines = ["\t".join(header)]
-    for user, period, *blocks in zip(table.users, table.periods.tolist(), *table._row_text):
-        lines.append("\t".join([user, str(period), table.set_id, *blocks]))
-    return "\n".join(lines) + "\n"
+    return "".join(feature_table_chunks(table.set_id, table.parts or (table,)))
+
+
+def _rows(text: str, chunk: int = _PARSE_CHUNK_CHARS) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each non-blank line, numbered as `text.splitlines()`
+    splits, a chunk at a time: every chunk but the last ends with a newline."""
+    number, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start + chunk)
+        end = len(text) if end < 0 else end + 1
+        for number, line in enumerate(text[start:end].splitlines(), start=number + 1):
+            if line and not line.isspace():
+                yield number, line
+        start = end
 
 
 def feature_table_from_tsv(text: str) -> FeatureTable:
@@ -563,22 +580,29 @@ def feature_table_from_tsv(text: str) -> FeatureTable:
 
     Raises `ValueError` naming the line when the header is not
     `user, period, set_id, f_0 ... f_{w-1}` or a row does not fit it.
-    A table without rows comes back with an empty `set_id`.
+    A table without rows comes back with an empty `set_id`. One pass
+    counts the rows and the next parses them into one preallocated array.
     """
-    lines = [(n, row) for n, row in enumerate(text.splitlines(), start=1) if row.strip()]
-    if not lines:
+    rows = _rows(text)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("feature table is empty: missing header")
-    header = lines[0][1].split("\t")
+    n_rows = sum(1 for _ in rows)
+    header = first[1].split("\t")
     width = len(header) - 3
     if header != ["user", "period", "set_id"] + [f"f_{i}" for i in range(width)]:
-        raise ValueError(f"line {lines[0][0]}: feature table header must be "
+        raise ValueError(f"line {first[0]}: feature table header must be "
                          "user, period, set_id, f_0 ... f_{w-1}")
-    if width < 3 and len(lines) > 1:
-        raise ValueError(f"line {lines[0][0]}: {width} value column(s) cannot hold "
+    if width < 3 and n_rows:
+        raise ValueError(f"line {first[0]}: {width} value column(s) cannot hold "
                          "the 3-slot stance one-hot")
     set_id = ""
-    users, periods, rows = [], [], []
-    for n, row in lines[1:]:
+    users: list[str] = []
+    periods = np.empty(n_rows, dtype=np.int64)
+    values = np.empty((n_rows, width))
+    rows = _rows(text)
+    next(rows)
+    for i, (n, row) in enumerate(rows):
         cells = row.split("\t")
         if len(cells) != width + 3:
             raise ValueError(f"line {n}: {len(cells)} cells, header has {width + 3}")
@@ -586,10 +610,9 @@ def feature_table_from_tsv(text: str) -> FeatureTable:
             raise ValueError(f"line {n}: set_id {cells[2]!r}, the table holds {set_id!r}")
         set_id = cells[2]
         try:
-            periods.append(np.int64(int(cells[1])))
-            rows.append(list(map(float, cells[3:])))
+            periods[i] = np.int64(int(cells[1]))
+            values[i] = [*map(float, cells[3:])]
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {n}: {exc}") from None
         users.append(cells[0])
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    return FeatureTable(set_id, tuple(users), np.array(periods, dtype=np.int64), values)
+    return FeatureTable(set_id, tuple(users), periods, values)

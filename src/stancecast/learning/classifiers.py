@@ -20,6 +20,11 @@ LR_MAX_EPOCHS = 1000
 LR_TOL = 1e-6
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def _validate_training(X: np.ndarray, y: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a non-empty 2-d array")
@@ -39,6 +44,7 @@ class LogisticRegressionClassifier:
     """
 
     def __init__(self, l2: float = 1.0):
+        _require(math.isfinite(l2) and l2 >= 0, f"l2 must be finite and non-negative, got {l2}")
         self.l2 = l2
         self.weights = None
         self.mean = None
@@ -100,8 +106,7 @@ class KNNClassifier:
     BLOCK_ROWS = 256  # distance rows selected at once; bounds the temporaries
 
     def __init__(self, k: int = 5):
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        _require(k >= 1, f"k must be at least 1, got {k}")
         self.k = k
         self.X = None
         self.y = None
@@ -179,8 +184,11 @@ class RandomForestClassifier:
 
     def __init__(self, n_trees: int = 100, max_depth: int = 10,
                  max_features: str = "sqrt"):
-        if max_features not in ("sqrt", "third", "all"):
-            raise ValueError(f"unknown feature subset mode {max_features!r}")
+        _require(max_features in ("sqrt", "third", "all"),
+                 f"unknown feature subset mode {max_features!r}")
+        _require(n_trees >= 1, f"n_trees must be at least 1, got {n_trees}")
+        _require(max_depth is None or max_depth >= 1,
+                 f"max_depth must be at least 1, got {max_depth}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features
@@ -221,6 +229,11 @@ class GradientBoostingClassifier:
 
     def __init__(self, n_trees: int = 100, max_depth: int = 3,
                  learning_rate: float = 0.1):
+        _require(n_trees >= 1, f"n_trees must be at least 1, got {n_trees}")
+        _require(max_depth is None or max_depth >= 1,
+                 f"max_depth must be at least 1, got {max_depth}")
+        _require(math.isfinite(learning_rate) and learning_rate > 0,
+                 f"learning_rate must be finite and positive, got {learning_rate}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.learning_rate = learning_rate

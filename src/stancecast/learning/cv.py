@@ -15,7 +15,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -119,10 +119,6 @@ class FoldResult:
     metrics: dict[str, float]
     n_test: int
 
-    def to_dict(self) -> dict:
-        return {"fold": self.fold, "params": self.params,
-                "metrics": self.metrics, "n_test": self.n_test}
-
 
 @dataclass
 class CVResult:
@@ -139,19 +135,7 @@ class CVResult:
     warnings: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "seed": self.seed,
-            "outer_k": self.outer_k,
-            "inner_k": self.inner_k,
-            "search_iters": self.search_iters,
-            "metrics_mean": self.metrics_mean,
-            "metrics_std": self.metrics_std,
-            "folds": [f.to_dict() for f in self.folds],
-            "transition_f1": self.transition_f1,
-            "transition_missing": self.transition_missing,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 def nested_cv(
@@ -219,27 +203,14 @@ def nested_cv(
 
     folds = [result for result, _ in fold_results]
     matrix, missing = transition_f1_matrix(pooled_pred, y, instances.current)
-    metrics_mean = {
-        name: float(np.mean([f.metrics[name] for f in folds]))
-        for name in METRIC_NAMES
-    }
-    metrics_std = {
-        name: float(np.std([f.metrics[name] for f in folds]))
-        for name in METRIC_NAMES
-    }
+    scores = {name: [f.metrics[name] for f in folds] for name in METRIC_NAMES}
     return CVResult(
-        family=spec.family,
-        seed=seed,
-        outer_k=outer_k,
-        inner_k=inner_k,
+        family=spec.family, seed=seed, outer_k=outer_k, inner_k=inner_k,
         search_iters=search_iters,
-        metrics_mean=metrics_mean,
-        metrics_std=metrics_std,
-        folds=folds,
-        transition_f1=matrix,
-        transition_missing=[STANCE_ORDER[i].value for i in missing],
-        warnings=warnings,
-    )
+        metrics_mean={name: float(np.mean(values)) for name, values in scores.items()},
+        metrics_std={name: float(np.std(values)) for name, values in scores.items()},
+        folds=folds, transition_f1=matrix,
+        transition_missing=[STANCE_ORDER[i].value for i in missing], warnings=warnings)
 
 
 class _Fit(NamedTuple):
@@ -397,10 +368,5 @@ def _fit_in_worker(task: _Fit) -> np.ndarray:
 
 
 def _check_partition(folds: Sequence[Sequence[int]], n: int) -> None:
-    seen: set[int] = set()
-    total = 0
-    for fold in folds:
-        total += len(fold)
-        seen.update(fold)
-    if total != n or seen != set(range(n)):
+    if sorted(i for fold in folds for i in fold) != list(range(n)):
         raise RuntimeError("outer folds are not a partition of the instances")

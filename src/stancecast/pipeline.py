@@ -3,9 +3,9 @@
 Every stage but synth is a `Stage` run by `_run_stage`: refuse a stale stage
 anywhere up its chain, compute the stage key (its config fields plus the
 upstream's hash), return the recorded summary on a cache hit, and otherwise
-write every artifact atomically and `<stage>.hash` last, so an interrupted run
-never masquerades as a finished stage and a changed seed invalidates
-everything downstream of it.
+remove `<stage>.hash`, write every artifact atomically and the hash last, so an
+interrupted run never masquerades as a finished stage and a changed seed
+invalidates everything downstream of it.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .features import (
     assemble_union,
     build_vocab_top_words,
     extract_all,
+    feature_table_chunks,
     feature_table_from_tsv,
-    feature_table_tsv,
     schema_columns,
 )
 from .learning.cv import ClassifierSpec, make_instances, nested_cv
@@ -55,12 +55,13 @@ class PipelineError(Exception):
 # Atomic IO and the stage runner
 # ---------------------------------------------------------------------------
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, or each of its chunks in turn, beside `path`; then rename over it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,7 +91,7 @@ def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-Files = Iterable[tuple[str, str]]  # (name, text); a generator holds one text at a time
+Files = Iterable[tuple[str, str | Iterable[str]]]  # (name, text or its chunks), one at a time
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,6 +163,9 @@ def _run_stage(config: PipelineConfig, stage: str) -> dict:
         log.info("%s: cache hit", stage)
         return json.loads((out / spec.summary).read_text(encoding="utf-8"))
     files, summary = spec.build(config)
+    # Once one artifact is rewritten the old hash no longer vouches for the
+    # set, so it goes first: an interrupted run leaves the stage unrun.
+    (out / f"{stage}.hash").unlink(missing_ok=True)
     for name, text in files:
         atomic_write_text(out / name, text)
     atomic_write_text(out / f"{stage}.hash", key + "\n")
@@ -228,21 +232,20 @@ def _build_profile(config: PipelineConfig) -> tuple[Files, dict]:
     per_user: Counter[str] = Counter()
     initiators: set[str] = set()
     commenters: set[str] = set()
-    posts = comments = 0
     entries, _ = _load_corpus(config)
     for entry in entries:
         month = datetime.fromtimestamp(entry.timestamp, tz=timezone.utc).strftime("%Y-%m")
         monthly[month] += 1
         per_user[entry.author] += 1
         if entry.is_post:
-            posts += 1
             monthly_posts[month] += 1
             initiators.add(entry.author)
         else:
-            comments += 1
             commenters.add(entry.author)
 
-    total = posts + comments
+    total = len(entries)
+    posts = sum(monthly_posts.values())
+    comments = total - posts
     roles = {
         "initiator_only": len(initiators - commenters),
         "both": len(initiators & commenters),
@@ -340,30 +343,33 @@ def _build_features(config: PipelineConfig) -> tuple[Files, dict]:
     entries, partition = _load_corpus(config)
     stances = _load_stances(config)
     forest = build_forest(entries)
+    sets = config.features.sets
+    parts = {s: UNION_PARTS.get(s, (s,)) for s in sets}
     vocab: list[str] = []
-    if any(s in ("FS0", "FS5") for s in config.features.sets):
+    if any("FS0" in p for p in parts.values()):
         in_range = [e for e in entries if partition.period_of(e.timestamp) is not None]
         vocab = build_vocab_top_words(in_range, limit=config.features.vocab_size)
+    # Unions are written from their parts' row text, never assembled here.
+    bases = sorted({p for s in sets for p in parts[s]})
     try:
-        tables = extract_all(forest, partition, stances,
-                             sets=config.features.sets,
+        tables = extract_all(forest, partition, stances, sets=bases,
                              vocab_width=config.features.vocab_size,
                              vocab=vocab or None)
     except ValueError as exc:
         raise PipelineError(f"feature extraction failed: {exc}") from exc
 
-    columns = {s: schema_columns(s, vocab, config.features.vocab_size)
-               for s in config.features.sets}
+    columns = {s: schema_columns(s, vocab, config.features.vocab_size) for s in sets}
     meta = {
-        "sets": {s: {"vectors": len(tables[s]), "width": len(columns[s])} for s in tables},
+        "sets": {s: {"vectors": len(tables[parts[s][0]]), "width": len(columns[s])}
+                 for s in sets},
         "vocab": vocab,
         "tfidf": "tf = raw count in the (user, period) document; "
                  "idf = ln((1+D)/(1+df)) + 1 over all (user, period) documents",
     }
 
     def files():
-        for s in config.features.sets:
-            yield f"features_{s}.tsv", feature_table_tsv(tables[s])
+        for s in sets:
+            yield f"features_{s}.tsv", feature_table_chunks(s, [tables[p] for p in parts[s]])
             yield f"features_{s}.schema.tsv", _lines(
                 ["index\tname", *(f"{i}\t{name}" for i, name in enumerate(columns[s]))])
         yield "features.json", _json(meta)
@@ -381,21 +387,20 @@ def run_features(config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _evaluate_key(config: PipelineConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "params": dataclasses.asdict(config.learning),
-        "sets": list(config.features.sets),
-    }
+    return {"seed": config.seed, "params": dataclasses.asdict(config.learning),
+            "sets": list(config.features.sets)}
 
 
 def _feature_tables(config: PipelineConfig) -> Iterator[tuple[str, FeatureTable]]:
     """Each configured feature table in config order, every TSV parsed once.
 
     A union whose constituents are all configured is assembled from their
-    parsed tables rather than parsed again from its own TSV, which repeats
-    their cells.
-    """
+    parsed tables, not parsed again from its own TSV. A parsed table is let go
+    after the last set that reads it, and a union comes without its parts."""
     sets = config.features.sets
+    reads = {s: UNION_PARTS.get(s, (s,)) for s in sets}
+    reads = {s: parts if set(parts) <= set(sets) else (s,) for s, parts in reads.items()}
+    left = Counter(name for s in sets for name in reads[s])
     parsed: dict[str, FeatureTable] = {}
 
     def read(set_id: str) -> FeatureTable:
@@ -405,28 +410,29 @@ def _feature_tables(config: PipelineConfig) -> Iterator[tuple[str, FeatureTable]
                     parsed[set_id] = feature_table_from_tsv(handle.read())
                 except ValueError as exc:
                     raise PipelineError(f"{handle.name}: {exc}") from exc
-        return parsed[set_id]
+        left[set_id] -= 1
+        return parsed[set_id] if left[set_id] else parsed.pop(set_id)
 
     for set_id in sets:
-        parts = UNION_PARTS.get(set_id, ())
-        if not parts or not all(part in sets for part in parts):
-            yield set_id, read(set_id)
+        tables = [read(name) for name in reads[set_id]]
+        if reads[set_id] == (set_id,):
+            yield set_id, tables.pop()
             continue
-        tables = [read(part) for part in parts]
         if not all(map(len, tables)):
             raise PipelineError(f"no supervised instances for {set_id}")
         try:
-            union = assemble_union(tables, set_id)
+            union = dataclasses.replace(assemble_union(tables, set_id))
         except ValueError as exc:
             raise PipelineError(f"cannot assemble {set_id}: {exc}") from exc
+        tables.clear()
         yield set_id, union
+        del union
 
 
 def _build_evaluate(config: PipelineConfig) -> tuple[Files, dict]:
     stances = _load_stances(config)
     params = config.learning
-    combos = []
-    skipped = []
+    combos, skipped = [], []
     for set_id, table in _feature_tables(config):
         instances = make_instances(table, stances)
         if not len(instances):
@@ -437,18 +443,12 @@ def _build_evaluate(config: PipelineConfig) -> tuple[Files, dict]:
         else:
             slices = [(None, instances)]
         for family in params.families:
-            spec = ClassifierSpec(family=family,
-                                  space=params.spaces.get(family, {}))
+            spec = ClassifierSpec(family=family, space=params.spaces.get(family, {}))
             for period, subset in slices:
                 try:
-                    result = nested_cv(
-                        subset, spec,
-                        outer_k=params.outer_k,
-                        inner_k=params.inner_k,
-                        search_iters=params.search_iters,
-                        seed=config.seed,
-                        group_by_user=params.group_by_user,
-                    )
+                    result = nested_cv(subset, spec, outer_k=params.outer_k,
+                                       inner_k=params.inner_k, search_iters=params.search_iters,
+                                       seed=config.seed, group_by_user=params.group_by_user)
                 except ValueError as exc:
                     skipped.append({"family": family, "set_id": set_id,
                                     "period": period, "reason": str(exc)})

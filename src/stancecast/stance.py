@@ -283,9 +283,6 @@ class StanceAssignment:
     def get(self, user: str, period: int) -> Optional[Stance]:
         return self.stance.get((user, period))
 
-    def users(self, period: int) -> set[str]:
-        return {user for (user, p) in self.stance if p == period}
-
     @classmethod
     def from_truth(cls, truth: Mapping[tuple[str, int], Stance]) -> "StanceAssignment":
         return cls(stance=dict(truth))

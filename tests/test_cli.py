@@ -413,23 +413,166 @@ class TestAtomicity:
         assert run("label", config) == 0
 
         calls = {"n": 0}
-        real = pipeline_mod.feature_table_tsv
+        real = pipeline_mod.feature_table_chunks
 
-        def explode_on_second(vectors):
+        def explode_on_second(set_id, parts):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("disk gremlin")
-            return real(vectors)
+            return real(set_id, parts)
 
-        monkeypatch.setattr(pipeline_mod, "feature_table_tsv", explode_on_second)
+        monkeypatch.setattr(pipeline_mod, "feature_table_chunks", explode_on_second)
         from stancecast.config import PipelineConfig
         cfg = PipelineConfig.from_file(config)
         with pytest.raises(RuntimeError):
             pipeline_mod.run_features(cfg)
         assert not (tmp_path / "features.hash").exists()
-        monkeypatch.setattr(pipeline_mod, "feature_table_tsv", real)
+        monkeypatch.setattr(pipeline_mod, "feature_table_chunks", real)
         assert run("features", config) == 0
         assert (tmp_path / "features.hash").exists()
+
+
+# Overrides that give each stage with key fields of its own another key; the
+# stages below it follow through their upstream's hash.
+RERUN_CHANGES = {
+    "ingest": ['periods=["1970-01-13", "1970-01-14", "1970-01-16", "1970-01-18"]'],
+    "label": ["labeler.lower_cutoff=0.45", "labeler.upper_cutoff=0.55"],
+    "features": ['features.sets=["FS0", "FS3"]'],
+    "evaluate": ["learning.search_iters=3"],
+}
+STAGE_ORDER = tuple(TestCaching.ARTIFACTS)
+
+
+def _below(stage):
+    """`stage` and every stage whose upstream chain passes through it, in run order."""
+    from stancecast.pipeline import STAGES
+    chain = []
+    for name in STAGE_ORDER:
+        upstream = name
+        while upstream is not None and upstream != stage:
+            upstream = STAGES[upstream].upstream
+        if upstream == stage:
+            chain.append(name)
+    return chain
+
+
+def _artifact_bytes(directory):
+    """Every file a stage writes, `report.json` without its `created` stamp."""
+    found = {}
+    for path in sorted(directory.iterdir()):
+        if path.name == "config.json" or path.name.startswith("synthetic"):
+            continue
+        data = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(data)
+            report.pop("created")
+            data = json.dumps(report, sort_keys=True).encode()
+        found[path.name] = data
+    return found
+
+
+@pytest.fixture(scope="module")
+def scratch_runs(tmp_path_factory):
+    """From-scratch artifacts of the base config and of each changed one."""
+    runs = {}
+    for change, overrides in [("base", [])] + list(RERUN_CHANGES.items()):
+        workdir = tmp_path_factory.mktemp(change)
+        config = write_config(workdir)
+        extra = [arg for override in overrides for arg in ("--set", override)]
+        for command in ("synth", *STAGE_ORDER):
+            assert run(command, config, *extra) == 0, (change, command)
+        runs[change] = (workdir, extra, _artifact_bytes(workdir))
+        # The change must show in the bytes of its own stage's artifacts.
+        if change != "base":
+            assert any(runs[change][2].get(name) != runs["base"][2].get(name)
+                       for name in TestCaching.ARTIFACTS[change])
+    return runs
+
+
+class TestInterruptedRerun:
+    def test_half_written_stage_is_not_vouched_for(self, pipeline_dir, monkeypatch, capsys):
+        import stancecast.pipeline as pipeline_mod
+        tmp_path, config = pipeline_dir
+        a = ("--set", 'features.sets=["FS0", "FS1"]', "--set", "features.vocab_size=20")
+        b = ("--set", 'features.sets=["FS0", "FS1"]', "--set", "features.vocab_size=10")
+        for command in ("ingest", "label", "features"):
+            assert run(command, config, *a) == 0, command
+        fs0 = (tmp_path / "features_FS0.tsv").read_bytes()
+        real = pipeline_mod.atomic_write_text
+        calls = []
+
+        def interrupted_after_first(path, text):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            real(path, text)
+
+        monkeypatch.setattr(pipeline_mod, "atomic_write_text", interrupted_after_first)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline_mod.run_features(PipelineConfig.from_file(config, list(b[1::2])))
+        monkeypatch.setattr(pipeline_mod, "atomic_write_text", real)
+        assert calls[0] == "features_FS0.tsv"
+        assert (tmp_path / "features_FS0.tsv").read_bytes() != fs0
+        capsys.readouterr()
+        assert run("evaluate", config, *a) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stage 'features' has not been run" in err
+        assert run("features", config, *a) == 0
+        assert (tmp_path / "features_FS0.tsv").read_bytes() == fs0
+
+    @pytest.mark.parametrize("first", ["base", "changed"])
+    @pytest.mark.parametrize("changed", sorted(RERUN_CHANGES))
+    def test_interrupted_rerun_recovers(self, scratch_runs, tmp_path, monkeypatch, capsys,
+                                        changed, first):
+        """Break a rerun under a changed config at its k-th atomic write, for
+        every k. Then every stage run under the first config, in either
+        order, exits 0 with that config's from-scratch bytes or refuses in
+        one line, and the whole chain in run order ends with those bytes."""
+        import shutil
+
+        import stancecast.pipeline as pipeline_mod
+        from stancecast.learning import cv
+        monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: 1)
+        real = pipeline_mod.atomic_write_text
+        base_dir, _, _ = scratch_runs["base"]
+        _, extra, expected = scratch_runs["base" if first == "base" else changed]
+        rerun = _below(changed)
+        k = 0
+        while True:
+            k += 1
+            workdir = tmp_path / f"k{k}"
+            shutil.copytree(base_dir, workdir)
+            config = write_config(workdir)
+            writes = []
+
+            def breaking(path, text):
+                writes.append(path.name)
+                if len(writes) == k:
+                    raise RuntimeError("interrupted")
+                real(path, text)
+
+            monkeypatch.setattr(pipeline_mod, "atomic_write_text", breaking)
+            codes = [run(stage, config, *scratch_runs[changed][1]) for stage in rerun]
+            monkeypatch.setattr(pipeline_mod, "atomic_write_text", real)
+            if len(writes) < k:  # the rerun finished before a k-th write
+                assert set(codes) == {0}
+                assert k > 1
+                break
+            assert 1 in codes and not list(workdir.glob("*.tmp"))
+            # Last stage first, so a stage meets its upstream still half written.
+            for stage in (*reversed(STAGE_ORDER), *STAGE_ORDER):
+                capsys.readouterr()
+                code = run(stage, config, *extra)
+                err = capsys.readouterr().err
+                if code:
+                    assert code == 1 and err.count("\n") == 1, (k, stage, err)
+                    continue
+                got = _artifact_bytes(workdir)
+                for artifact in (*TestCaching.ARTIFACTS[stage], f"{stage}.hash"):
+                    if artifact in expected:
+                        assert got.get(artifact) == expected[artifact], (k, artifact)
+            got = _artifact_bytes(workdir)
+            assert {n: got.get(n) for n in expected} == expected, k
 
 
 class TestDeterminism:
@@ -518,7 +661,11 @@ def test_invalid_synth_value_is_config_error(tmp_path, capsys):
     ({"random_forest": {"max_features": ["choice", ["bogus"]]}},
      "unknown feature subset mode 'bogus'"),
     ({"knn": {"k": ["int", 0, 5]}}, "k must be at least 1, got 0"),
-], ids=["unknown-kind", "unknown-name", "unknown-family", "bad-choice", "bad-range-end"])
+    ({"random_forest": {"n_trees": ["int", 0, 5]}}, "n_trees must be at least 1, got 0"),
+    ({"logistic_regression": {"l2": ["choice", [1.0, -5.0]]}},
+     "l2 must be finite and non-negative, got -5.0"),
+], ids=["unknown-kind", "unknown-name", "unknown-family", "bad-choice", "bad-range-end",
+        "rf-no-trees", "lr-negative-l2"])
 def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, message):
     tmp_path, config = pipeline_dir
     for command in ("ingest", "label", "features"):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from math import log as ln
 
 import numpy as np
@@ -13,6 +14,7 @@ from stancecast.corpus import (
     build_forest,
     extract_diffusions,
 )
+import stancecast.features as features_mod
 from stancecast.features import (
     SET_IDS,
     SYMBOLIC_COUNTS,
@@ -20,7 +22,6 @@ from stancecast.features import (
     FeatureTable,
     assemble_union,
     build_document_index,
-    build_idf,
     build_period_user_index,
     build_vocab_top_words,
     compute_fs0,
@@ -28,13 +29,13 @@ from stancecast.features import (
     compute_fs2,
     compute_fs3,
     extract_all,
+    feature_table_chunks,
     feature_table_from_tsv,
     feature_table_tsv,
     grouped_quantiles5,
     numeric_dim,
     quantiles5,
     schema_columns,
-    term_counts,
 )
 from stancecast.stance import STANCE_ORDER, Stance, StanceAssignment
 from stancecast.synth import SyntheticConfig, generate_synthetic_corpus
@@ -333,10 +334,9 @@ class TestVocabAndFS0:
                    Entry("b", "ben", "brexit", 20, "a")]
         docs = build_document_index(entries, partition)
         vocab = ["brexit"]
-        idf = build_idf(term_counts(docs.values(), vocab))
-        assert idf[0] == pytest.approx(1.0)
-        fv = tuple(compute_fs0([("amy", 0)], vocab, docs, width=100)[0])
-        assert fv[0] == pytest.approx(2.0)  # tf * idf = 2 * 1
+        block = compute_fs0([("amy", 0), ("ben", 0)], vocab, docs, width=100)
+        assert block[0, 0] == 2.0  # tf * idf = 2 * 1
+        assert block[1, 0] == 1.0
 
     def test_idf_formula(self):
         partition = TimePartition((0, 100))
@@ -344,9 +344,36 @@ class TestVocabAndFS0:
                    Entry("b", "ben", "deal", 20, "a"),
                    Entry("c", "cat", "deal", 30, "a")]
         docs = build_document_index(entries, partition)
-        idf = build_idf(term_counts(docs.values(), ["brexit", "deal"]))
-        assert idf[0] == pytest.approx(ln(4 / 2) + 1)
-        assert idf[1] == pytest.approx(ln(4 / 3) + 1)
+        idf = [ln(4 / 2) + 1, ln(4 / 3) + 1]  # df 1 and 2 among D = 3 documents
+        block = compute_fs0([("amy", 0), ("ben", 0)], ["brexit", "deal"], docs, width=2)
+        assert block.tolist() == [[idf[0], 0.0], [0.0, idf[1]]]
+
+    def test_documents_that_are_not_keys_count_in_idf(self):
+        # cat's document is no key, yet it is one of D = 3 documents and
+        # one of the two with "deal"; a key with no document gets zeros.
+        partition = TimePartition((0, 100))
+        entries = [Entry("a", "amy", "brexit", 10),
+                   Entry("b", "ben", "deal deal", 20, "a"),
+                   Entry("c", "cat", "deal", 30, "a")]
+        docs = build_document_index(entries, partition)
+        assert {key: [e.id for e in group] for key, group in docs.items()} == {
+            ("amy", 0): ["a"], ("ben", 0): ["b"], ("cat", 0): ["c"]}
+        block = compute_fs0([("ben", 0), ("zed", 0), ("ben", 0)], ["brexit", "deal"], docs,
+                            width=3)
+        deal = 2 * (ln(4 / 3) + 1)
+        assert block.tolist() == [[0.0, deal, 0.0], [0.0, 0.0, 0.0], [0.0, deal, 0.0]]
+
+    def test_counts_into_the_given_block(self):
+        partition = TimePartition((0, 100))
+        entries = [Entry("a", "amy", "brexit deal", 10), Entry("b", "ben", "deal", 20, "a")]
+        docs = build_document_index(entries, partition)
+        values = np.full((2, 5), 7.0)
+        block = compute_fs0([("amy", 0), ("ben", 0)], ["brexit", "deal"], docs, width=3,
+                            out=values[:, :3])
+        assert np.shares_memory(block, values)
+        assert values[:, 3:].tolist() == [[7.0, 7.0], [7.0, 7.0]]
+        assert np.array_equal(block, compute_fs0([("amy", 0), ("ben", 0)],
+                                                 ["brexit", "deal"], docs, width=3))
 
     def test_symbolic_count(self):
         assert SYMBOLIC_COUNTS["FS0"] == 101
@@ -785,6 +812,69 @@ class TestExportRoundTrip:
         for set_id, table in tables.items():
             names = schema_columns(set_id, vocab=None, vocab_width=100)
             assert len(names) == table.values.shape[1]
+
+
+class TestStreaming:
+    @settings(deadline=None)
+    @given(st.text(alphabet="a\t\n\r\x0b\x0c\x1c\x85\u2028 "), st.integers(1, 6))
+    def test_rows_are_the_nonblank_splitlines(self, text, chunk):
+        assert list(features_mod._rows(text, chunk)) == \
+            [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+    def test_chunks_are_whole_rows(self, monkeypatch):
+        monkeypatch.setattr(features_mod, "_TSV_CHUNK_ROWS", 2)
+        forest, _, stances = build_case()
+        tables = extract_all(forest, TimePartition((0, 100)), stances, vocab_width=3)
+        for set_id in ("FS4", "FS5"):
+            parts = [tables[part] for part in UNION_PARTS[set_id]]
+            chunks = list(feature_table_chunks(set_id, parts))
+            assert len(chunks) == 1 + -(-len(tables[set_id]) // 2)
+            assert all(chunk.endswith("\n") for chunk in chunks)
+            assert "".join(chunks) == reference_tsv(tables[set_id])
+
+
+def _traced_peak(call):
+    """`call()` and the peak of the memory it allocated, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_parse_fills_one_array(self):
+        # 3,000 x 103 FS0-like rows, in several render chunks. Parsing into
+        # rows of Python floats peaked at 6.3x the values.
+        rng = np.random.default_rng(3)
+        n = 3000
+        numeric = np.where(rng.random((n, 100)) < 0.2,
+                           rng.integers(1, 4, (n, 100)) * (1 + rng.random(100)), 0.0)
+        table = FeatureTable("FS0", tuple(f"user{i % 700}" for i in range(n)),
+                             np.arange(n, dtype=np.int64) % 5,
+                             np.hstack([numeric, np.eye(3)[rng.integers(0, 3, n)]]))
+        text = feature_table_tsv(table)
+        back, peak = _traced_peak(lambda: feature_table_from_tsv(text))
+        assert back == table
+        assert peak <= 2.5 * table.values.nbytes
+
+    def test_fs0_counts_into_its_table(self):
+        # Per-document Counters and a separate count matrix, gathered,
+        # multiplied and stacked, peaked at 5.7x the FS0 values here.
+        config = SyntheticConfig(n_users=400, n_periods=3, threads_per_period=8,
+                                 words_per_entry=12)
+        generated = generate_synthetic_corpus(config, seed=3)
+        forest = build_forest(generated.entries)
+        entries = list(forest.entry_index.values())
+        vocab = build_vocab_top_words(entries, limit=100)  # caches every entry's tokens
+        stances = StanceAssignment.from_truth(generated.stances)
+        tables, peak = _traced_peak(lambda: extract_all(
+            forest, generated.partition, stances, sets=("FS0",), vocab=vocab))
+        values = tables["FS0"].values
+        assert values.shape == (1200, 103) and np.count_nonzero(values[:, :100])
+        assert peak <= 3.5 * values.nbytes
 
 
 def reference_tsv(table):

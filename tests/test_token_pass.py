@@ -6,6 +6,7 @@ earlier algorithm: preprocess the space-joined text of a document and add
 one log-likelihood column per token. Every comparison is exact.
 """
 
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from stancecast.corpus import SENTINEL_AUTHOR, Entry, build_forest, group_user_period
-from stancecast.features import build_document_index, build_vocab_top_words
+from stancecast.features import build_document_index, build_vocab_top_words, compute_fs0
 from stancecast.stance import (
     HashtagLexicon,
     NBModel,
@@ -165,12 +166,25 @@ def test_fs0_documents_and_vocab_match_reference(corpus):
         for key, group in group_user_period(entries, partition).items()
         if key[0] != SENTINEL_AUTHOR
     }
-    assert documents == reference
+    assert {key: Counter(t for e in group for t in e.tokens)
+            for key, group in documents.items()} == reference
     counts: Counter = Counter()
     for entry in entries:
         counts.update(preprocess(entry.content))
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    assert build_vocab_top_words(entries, limit=50) == [t for t, _ in ranked[:50]]
+    vocab = build_vocab_top_words(entries, limit=50)
+    assert vocab == [t for t, _ in ranked[:50]]
+    # TF-IDF over the reference documents. Every other document is a key,
+    # so the rest count in the IDF only; a key without a document is zeros.
+    total = len(reference)
+    idf = [math.log((1 + total) / (1 + sum(1 for c in reference.values() if c[word]))) + 1.0
+           for word in vocab]
+    keys = sorted(reference)[::2] + [("nobody", 0)]
+    expected = [[reference.get(key, Counter())[word] * w for word, w in zip(vocab, idf)]
+                + [0.0] * 10 for key in keys]
+    block = compute_fs0(keys, vocab, documents, width=60)
+    assert block.tolist() == expected
+    assert np.count_nonzero(block) > len(keys)
 
 
 def test_leave_probability_matches_reference(training):

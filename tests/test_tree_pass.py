@@ -361,3 +361,27 @@ def test_row_grower_boosts_like_blocks(kind, max_depth, monkeypatch):
 def test_knn_rejects_k_below_one():
     with pytest.raises(ValueError, match="k must be at least 1"):
         KNNClassifier(k=0)
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("random_forest", {"n_trees": 0}, "n_trees must be at least 1, got 0"),
+    ("random_forest", {"max_depth": 0}, "max_depth must be at least 1, got 0"),
+    ("gradient_boosting", {"n_trees": -3}, "n_trees must be at least 1, got -3"),
+    ("gradient_boosting", {"max_depth": 0}, "max_depth must be at least 1, got 0"),
+    *(("gradient_boosting", {"learning_rate": rate}, "learning_rate must be finite and positive")
+      for rate in (0.0, -0.1, math.inf, math.nan)),
+    ("logistic_regression", {"l2": -5.0}, "l2 must be finite and non-negative"),
+    ("logistic_regression", {"l2": math.inf}, "l2 must be finite and non-negative"),
+    ("logistic_regression", {"l2": math.nan}, "l2 must be finite and non-negative"),
+])
+def test_constructors_reject_invalid_hyperparameters(family, params, message):
+    # Each would otherwise fit without error and predict class 0 for every row.
+    with pytest.raises(ValueError, match=message):
+        classifiers.build_classifier(family, params)
+
+
+def test_constructors_accept_their_range_edges():
+    classifiers.build_classifier("random_forest", {"n_trees": 1, "max_depth": None})
+    classifiers.build_classifier("gradient_boosting",
+                                 {"n_trees": 1, "max_depth": 1, "learning_rate": 5e-324})
+    classifiers.build_classifier("logistic_regression", {"l2": 0.0})
