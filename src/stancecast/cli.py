@@ -9,33 +9,18 @@ traceback of an unexpected one.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
 
 from .config import ConfigError, PipelineConfig
-from .pipeline import (
-    PipelineError,
-    run_evaluate,
-    run_features,
-    run_ingest,
-    run_label,
-    run_profile,
-    run_report,
-    run_synth,
-)
+from .pipeline import STAGES, PipelineError, run_stage, run_synth
 
 log = logging.getLogger("stancecast.cli")
 
-_COMMANDS = {
-    "ingest": run_ingest,
-    "profile": run_profile,
-    "label": run_label,
-    "features": run_features,
-    "evaluate": run_evaluate,
-    "synth": run_synth,
-    "report": run_report,
-}
+_COMMANDS = {"synth": run_synth,
+             **{name: functools.partial(run_stage, stage=name) for name in STAGES}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, runner in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=runner.__doc__)
+        help_text = STAGES[name].help if name in STAGES else runner.__doc__
+        sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="path to the JSON config file")
         sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config key, e.g. learning.outer_k=5")
@@ -58,12 +44,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        config = PipelineConfig.from_file(args.config, overrides=args.set)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _COMMANDS[args.command](config)
+        _COMMANDS[args.command](PipelineConfig.from_file(args.config, overrides=args.set))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,17 @@ individual keys. Validation happens before any output is touched.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
+from .corpus import TimePartition
+from .features import SET_IDS
 from .learning.classifiers import FAMILIES, build_classifier, sample_params
+from .learning.cv import check_cv_params
 from .synth import SyntheticConfig
 
 # Default period cutoffs for the Brexit subreddit case study: fifteen
@@ -40,11 +45,24 @@ class LabelerParams:
     holdout_fraction: float = 0.2
     distinct_hashtags: bool = False
 
+    def __post_init__(self) -> None:
+        _check(self, "alpha", Real, lambda v: 0 < v < math.inf, "a finite number above 0")
+        for name in ("min_messages", "rare_df"):
+            _check(self, name, int, lambda v: v >= 0, "an integer of at least 0")
+        _check(self, "extreme_fraction", Real, lambda v: 0 < v <= 0.5, "a number in (0, 0.5]")
+        _check(self, "upper_cutoff", Real, lambda v: 0 < v <= 1, "a number in (0, 1]")
+        _check(self, "lower_cutoff", Real, lambda v: 0 <= v < self.upper_cutoff,
+               "a number in [0, upper_cutoff)")
+        _check(self, "holdout_fraction", Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+
 
 @dataclass
 class FeatureParams:
     vocab_size: int = 100
-    sets: tuple[str, ...] = ("FS0", "FS1", "FS2", "FS3", "FS4", "FS5")
+    sets: tuple[str, ...] = SET_IDS
+
+    def __post_init__(self) -> None:
+        _check(self, "vocab_size", int, lambda v: v >= 0, "an integer of at least 0")
 
 
 @dataclass
@@ -56,6 +74,16 @@ class LearningParams:
     group_by_user: bool = False
     per_transition: bool = False
     spaces: dict[str, dict] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_cv_params(self.outer_k, self.inner_k, self.search_iters)
+
+
+def _check(params, name: str, kind: type, ok: Callable[[Any], bool], wanted: str) -> None:
+    """Raise `ValueError` unless `params.<name>` is a `kind`, not a bool, for which `ok` holds."""
+    value = getattr(params, name)
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
 # The CLI's synthetic corpus plants hashtags by default; the library's
@@ -80,7 +108,7 @@ class PipelineConfig:
     def from_file(cls, path: str | Path, overrides: Optional[list[str]] = None) -> "PipelineConfig":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
@@ -106,9 +134,10 @@ class PipelineConfig:
             problems.append("'output_dir' is mandatory and must be a path string")
             output_dir = "out"
         periods = raw.get("periods", list(BREXIT_PERIOD_CUTOFFS))
-        if (not isinstance(periods, list) or len(periods) < 2
-                or not all(isinstance(p, str) for p in periods)):
-            problems.append("'periods' must be a list of at least two ISO dates")
+        try:
+            TimePartition.from_iso_dates(periods if isinstance(periods, list) else ())
+        except (TypeError, ValueError) as exc:
+            problems.append(f"'periods' must be a list of at least two increasing ISO dates: {exc}")
             periods = list(BREXIT_PERIOD_CUTOFFS)
         lexicon = raw.get("lexicon")
         if lexicon is not None and not isinstance(lexicon, str):
@@ -127,7 +156,7 @@ class PipelineConfig:
                 problems.append(f"unknown classifier family {family!r}")
         problems.extend(_space_problems(learning.spaces))
         for set_id in features.sets:
-            if set_id not in ("FS0", "FS1", "FS2", "FS3", "FS4", "FS5"):
+            if set_id not in SET_IDS:
                 problems.append(f"unknown feature set {set_id!r}")
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
@@ -164,10 +193,10 @@ def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = 
         problems.append(f"unknown keys in '{name}': {sorted(unknown)}")
     kwargs: dict[str, Any] = dict(defaults)
     kwargs.update((k, v) for k, v in data.items() if k in known)
-    for key, fn in (coerce or {}).items():
-        if key in kwargs:
-            kwargs[key] = fn(kwargs[key])
     try:
+        for key, fn in (coerce or {}).items():
+            if key in kwargs:
+                kwargs[key] = fn(kwargs[key])
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
         problems.append(f"invalid '{name}' section: {exc}")

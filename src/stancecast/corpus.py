@@ -174,7 +174,9 @@ class ThreadForest:
     """Immutable reconstruction of the discussion trees of a corpus.
 
     `roots` and every child list are ordered by (timestamp, id), so the
-    structure is identical no matter the order entries arrived in.
+    structure is identical no matter the order entries arrived in. `order`
+    holds every entry once, in pre-order: each root in turn, then its
+    children's subtrees in child-list order, so a parent precedes its children.
     Orphan roots are comments whose parent fell outside the corpus (or
     sat on a parent-link cycle); they anchor their own tree but still
     count as comments, not posts.
@@ -184,6 +186,7 @@ class ThreadForest:
     children: dict[str, list[str]] = field(default_factory=dict)
     entry_index: dict[str, Entry] = field(default_factory=dict)
     thread_of: dict[str, str] = field(default_factory=dict)
+    order: list[str] = field(default_factory=list)
     orphan_roots: frozenset[str] = frozenset()
     repaired_timestamps: int = 0
     broken_cycles: int = 0
@@ -232,10 +235,12 @@ def build_forest(entries: list[Entry]) -> ThreadForest:
     order_key = lambda eid: (index[eid].timestamp, eid)
     root_ids.sort(key=order_key)
     thread_of: dict[str, str] = {}
+    order: list[str] = []
     stack = [(rid, rid) for rid in reversed(root_ids)]
     while stack:
         eid, root = stack.pop()
         thread_of[eid] = root
+        order.append(eid)
         parent_ts = index[eid].timestamp
         for child in children[eid]:
             if index[child].timestamp < parent_ts:
@@ -250,6 +255,7 @@ def build_forest(entries: list[Entry]) -> ThreadForest:
         children=children,
         entry_index=index,
         thread_of=thread_of,
+        order=order,
         orphan_roots=frozenset(orphans),
         repaired_timestamps=repaired,
         broken_cycles=len(cycle_members),
@@ -378,20 +384,9 @@ def group_user_period(
     return groups
 
 
-def entry_to_record(entry: Entry) -> dict:
-    return {
-        "id": entry.id,
-        "author": SENTINEL_AUTHOR if entry.author == SENTINEL_AUTHOR else entry.author,
-        "body": entry.content,
-        "created_utc": entry.timestamp,
-        "parent_id": entry.parent_id,
-    }
-
-
 def entries_to_jsonl(entries: Iterable[Entry]) -> str:
     """Serialize entries to the line-delimited record format, deterministically."""
-    lines = [
-        json.dumps(entry_to_record(e), sort_keys=True, separators=(",", ":"))
-        for e in entries
-    ]
+    lines = [json.dumps({"id": e.id, "author": e.author, "body": e.content,
+                         "created_utc": e.timestamp, "parent_id": e.parent_id},
+                        sort_keys=True, separators=(",", ":")) for e in entries]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -210,13 +210,8 @@ def build_period_user_index(
     period_of: dict[str, int] = {}
     slot_of: dict[str, int] = {}
     composition: dict[tuple[str, int], list[int]] = {}
-    # Top-down: pre-order over every thread, so parents precede children.
-    order: list[str] = []
-    stack = list(reversed(forest.roots))
-    while stack:
-        eid = stack.pop()
-        order.append(eid)
-        stack.extend(reversed(forest.children[eid]))
+    # Top-down: the forest's pre-order, so parents precede children.
+    for eid in forest.order:
         entry = forest.entry_index[eid]
         period = partition.period_of(entry.timestamp)
         if period is None:
@@ -239,7 +234,7 @@ def build_period_user_index(
 
     # Bottom-up: tally[e] = sum over same-period children c of onehot(c) + tally[c].
     replies: dict[str, tuple[int, int, int, int]] = {}
-    for eid in reversed(order):
+    for eid in reversed(forest.order):
         timestamp = forest.entry_index[eid].timestamp
         period = period_of.get(eid)
         tally = [0, 0, 0, 0]

@@ -138,6 +138,14 @@ class CVResult:
         return asdict(self)
 
 
+def check_cv_params(outer_k: int, inner_k: int, search_iters: int) -> None:
+    """Raise `ValueError` unless the fold counts are ints >= 2 and `search_iters` >= 1."""
+    for name, value, low in (("outer_k", outer_k, 2), ("inner_k", inner_k, 2),
+                             ("search_iters", search_iters, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
 def nested_cv(
     instances: LabeledRows,
     spec: ClassifierSpec,
@@ -163,6 +171,7 @@ def nested_cv(
     worker that dies ends the call with
     `concurrent.futures.process.BrokenProcessPool`.
     """
+    check_cv_params(outer_k, inner_k, search_iters)
     if len(instances) < outer_k:
         raise ValueError("need at least one instance per outer fold")
     X, y, users = instances.X, instances.y, instances.users

@@ -1,6 +1,6 @@
 """Pipeline stages behind the CLI: ingest, profile, label, features, evaluate, report.
 
-Every stage but synth is a `Stage` run by `_run_stage`: refuse a stale stage
+Every stage but synth is a `Stage` run by `run_stage`: refuse a stale stage
 anywhere up its chain, compute the stage key (its config fields plus the
 upstream's hash), return the recorded summary on a cache hit, and otherwise
 remove `<stage>.hash`, write every artifact atomically and the hash last, so an
@@ -96,6 +96,7 @@ Files = Iterable[tuple[str, str | Iterable[str]]]  # (name, text or its chunks),
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
+    help: str  # one line for the CLI's subcommand list
     upstream: str | None
     key: Callable[[PipelineConfig], dict]  # key fields besides stage and upstream
     artifacts: tuple[str, ...]  # "{set}" repeats a name for every feature set
@@ -152,7 +153,8 @@ def _stale_upstream(config: PipelineConfig, stage: str) -> str | None:
     return None
 
 
-def _run_stage(config: PipelineConfig, stage: str) -> dict:
+def run_stage(config: PipelineConfig, stage: str) -> dict:
+    """Run `stage` of `config`, or return its recorded summary on a cache hit."""
     spec, out = STAGES[stage], config.output_dir
     stale = _stale_upstream(config, stage)
     if stale is not None:
@@ -217,11 +219,6 @@ def _build_ingest(config: PipelineConfig) -> tuple[Files, dict]:
             ("ingest_diagnostics.json", _json(diagnostics))], diagnostics
 
 
-def run_ingest(config: PipelineConfig) -> dict:
-    """Parse the dump, rebuild the forest, partition, persist diagnostics."""
-    return _run_stage(config, "ingest")
-
-
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------
@@ -277,11 +274,6 @@ def _build_profile(config: PipelineConfig) -> tuple[Files, dict]:
             ("profile_summary.json", _json(summary))], summary
 
 
-def run_profile(config: PipelineConfig) -> dict:
-    """Emit posting-volume, role, and messages-per-user distributions."""
-    return _run_stage(config, "profile")
-
-
 # ---------------------------------------------------------------------------
 # label
 # ---------------------------------------------------------------------------
@@ -330,11 +322,6 @@ def _build_label(config: PipelineConfig) -> tuple[Files, dict]:
             ("labeler.json", _json(diagnostics))], diagnostics
 
 
-def run_label(config: PipelineConfig) -> dict:
-    """Weak-label hashtag extremes, train the text model, label every period."""
-    return _run_stage(config, "label")
-
-
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -375,11 +362,6 @@ def _build_features(config: PipelineConfig) -> tuple[Files, dict]:
         yield "features.json", _json(meta)
 
     return files(), meta
-
-
-def run_features(config: PipelineConfig) -> dict:
-    """Extract the FS0-FS5 feature tables of every labeled user-period."""
-    return _run_stage(config, "features")
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +460,6 @@ def _build_evaluate(config: PipelineConfig) -> tuple[Files, dict]:
     return [("report.json", _json(report))], report
 
 
-def run_evaluate(config: PipelineConfig) -> dict:
-    """Nested cross-validation of every family on every feature set."""
-    return _run_stage(config, "evaluate")
-
-
 def _build_report(config: PipelineConfig) -> tuple[Files, dict]:
     with _open_artifact(config, "evaluate", "report.json") as handle:
         report = json.load(handle)
@@ -501,25 +478,27 @@ def _build_report(config: PipelineConfig) -> tuple[Files, dict]:
             ("report_transitions.tsv", _lines(transitions))], report
 
 
-def run_report(config: PipelineConfig) -> dict:
-    """Render plot-ready TSVs from an existing evaluation report."""
-    return _run_stage(config, "report")
-
 
 STAGES = {
-    "ingest": Stage(None, _ingest_key, ("corpus.jsonl", "ingest_diagnostics.json"),
+    "ingest": Stage("Parse the dump, rebuild the forest, partition, persist diagnostics.",
+                    None, _ingest_key, ("corpus.jsonl", "ingest_diagnostics.json"),
                     "ingest_diagnostics.json", _build_ingest),
-    "profile": Stage("ingest", lambda c: {},
+    "profile": Stage("Emit posting-volume, role, and messages-per-user distributions.",
+                     "ingest", lambda c: {},
                      ("profile_monthly.tsv", "profile_ccdf.tsv", "profile_summary.json"),
                      "profile_summary.json", _build_profile),
-    "label": Stage("ingest", _label_key, ("stances.tsv", "labeler.json"),
+    "label": Stage("Weak-label hashtag extremes, train the text model, label every period.",
+                   "ingest", _label_key, ("stances.tsv", "labeler.json"),
                    "labeler.json", _build_label),
-    "features": Stage("label", lambda c: {"params": dataclasses.asdict(c.features)},
+    "features": Stage("Extract the FS0-FS5 feature tables of every labeled user-period.",
+                      "label", lambda c: {"params": dataclasses.asdict(c.features)},
                       ("features_{set}.tsv", "features_{set}.schema.tsv", "features.json"),
                       "features.json", _build_features),
-    "evaluate": Stage("features", _evaluate_key, ("report.json",),
+    "evaluate": Stage("Nested cross-validation of every family on every feature set.",
+                      "features", _evaluate_key, ("report.json",),
                       "report.json", _build_evaluate),
-    "report": Stage("evaluate", lambda c: {},
+    "report": Stage("Render plot-ready TSVs from an existing evaluation report.",
+                    "evaluate", lambda c: {},
                     ("report_bars.tsv", "report_transitions.tsv"), "report.json", _build_report),
 }
 

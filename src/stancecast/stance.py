@@ -82,27 +82,8 @@ class HashtagLexicon:
 
 def leave_score(documents: Iterable[str], lexicon: HashtagLexicon) -> int:
     """Pro-hashtag occurrences minus against-hashtag occurrences."""
-    pro, against = hashtag_usage(documents, lexicon)
-    return pro - against
-
-
-def hashtag_usage(documents: Iterable[str], lexicon: HashtagLexicon) -> tuple[int, int]:
-    pro = against = 0
-    for text in documents:
-        for tag in extract_hashtags(text):
-            if tag in lexicon.pro:
-                pro += 1
-            elif tag in lexicon.against:
-                against += 1
-    return pro, against
-
-
-def distinct_hashtag_usage(documents: Iterable[str], lexicon: HashtagLexicon) -> tuple[int, int]:
-    """Distinct-tag variant of `hashtag_usage` (repeats count once)."""
-    seen: set[str] = set()
-    for text in documents:
-        seen.update(extract_hashtags(text))
-    return len(seen & lexicon.pro), len(seen & lexicon.against)
+    return sum((tag in lexicon.pro) - (tag in lexicon.against)
+               for text in documents for tag in extract_hashtags(text))
 
 
 @dataclass(frozen=True)
@@ -110,14 +91,6 @@ class UserStats:
     messages: int
     pro_tags: int
     against_tags: int
-
-    @property
-    def leave_score(self) -> int:
-        return self.pro_tags - self.against_tags
-
-    @property
-    def lexicon_uses(self) -> int:
-        return self.pro_tags + self.against_tags
 
 
 def collect_user_stats(
@@ -131,17 +104,18 @@ def collect_user_stats(
     of once per occurrence.
     """
     messages: dict[str, int] = {}
-    texts: dict[str, list[str]] = {}
+    tags: dict[str, list[str]] = {}
     for entry in entries:
         if entry.author == SENTINEL_AUTHOR:
             continue
         messages[entry.author] = messages.get(entry.author, 0) + 1
-        texts.setdefault(entry.author, []).append(entry.content)
-    usage = distinct_hashtag_usage if distinct_tags else hashtag_usage
+        tags.setdefault(entry.author, []).extend(extract_hashtags(entry.content))
     out: dict[str, UserStats] = {}
     for user, count in messages.items():
-        p, a = usage(texts[user], lexicon)
-        out[user] = UserStats(messages=count, pro_tags=p, against_tags=a)
+        used = set(tags[user]) if distinct_tags else tags[user]
+        out[user] = UserStats(messages=count,
+                              pro_tags=sum(tag in lexicon.pro for tag in used),
+                              against_tags=sum(tag in lexicon.against for tag in used))
     return out
 
 
@@ -160,8 +134,8 @@ def select_weak_labels(
     if not 0 < extreme_fraction <= 0.5:
         raise ValueError("extreme_fraction must lie in (0, 0.5]")
     eligible = [
-        (user, s.leave_score) for user, s in stats.items()
-        if s.messages >= min_messages and s.lexicon_uses > 0
+        (user, s.pro_tags - s.against_tags) for user, s in stats.items()
+        if s.messages >= min_messages and s.pro_tags + s.against_tags > 0
     ]
     if len(eligible) < 20:
         raise ValueError(

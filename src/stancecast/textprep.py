@@ -13,10 +13,9 @@ import re
 import unicodedata
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
-_HASHTAG_RE = re.compile(r"#\w+")
+_HASHTAG_RE = re.compile(r"#(\w+)")
 _MENTION_RE = re.compile(r"@\w+")
 _TOKEN_RE = re.compile(r"[a-z]+")
-_RAW_HASHTAG_RE = re.compile(r"#(\w+)")
 
 # Fixed English stopword list. Single letters cover contraction debris
 # left by the letters-only tokenizer ("don't" -> "don", "t").
@@ -45,7 +44,7 @@ def strip_diacritics(text: str) -> str:
 
 def extract_hashtags(text: str) -> list[str]:
     """Lowercased hashtag bodies from raw (unpreprocessed) text."""
-    return [match.group(1).lower() for match in _RAW_HASHTAG_RE.finditer(text)]
+    return [match.group(1).lower() for match in _HASHTAG_RE.finditer(text)]
 
 
 def tokenize(text: str) -> list[str]:

@@ -9,7 +9,7 @@ import pytest
 from stancecast.cli import _COMMANDS, main
 from stancecast.config import PipelineConfig
 from stancecast.corpus import Entry, entries_to_jsonl
-from stancecast.pipeline import stage_key
+from stancecast.pipeline import STAGES, stage_key
 
 BASE_CONFIG = {
     "seed": 11,
@@ -167,7 +167,7 @@ class TestStages:
 
     def test_short_feature_row_fails_evaluate_cleanly(self, pipeline_dir):
         from stancecast.config import PipelineConfig
-        from stancecast.pipeline import PipelineError, run_evaluate
+        from stancecast.pipeline import PipelineError, run_stage
         tmp_path, config = pipeline_dir
         for command in ("ingest", "label", "features"):
             assert run(command, config) == 0, command
@@ -176,7 +176,7 @@ class TestStages:
         rows[1] = rows[1].rsplit("\t", 1)[0]
         table.write_text("\n".join(rows) + "\n")
         with pytest.raises(PipelineError, match="line 2"):
-            run_evaluate(PipelineConfig.from_file(config))
+            run_stage(PipelineConfig.from_file(config), "evaluate")
         assert run("evaluate", config) == 1
 
     def test_failing_fit_in_a_worker_is_skipped_as_inline(self, pipeline_dir, monkeypatch):
@@ -425,7 +425,7 @@ class TestAtomicity:
         from stancecast.config import PipelineConfig
         cfg = PipelineConfig.from_file(config)
         with pytest.raises(RuntimeError):
-            pipeline_mod.run_features(cfg)
+            pipeline_mod.run_stage(cfg, "features")
         assert not (tmp_path / "features.hash").exists()
         monkeypatch.setattr(pipeline_mod, "feature_table_chunks", real)
         assert run("features", config) == 0
@@ -445,7 +445,6 @@ STAGE_ORDER = tuple(TestCaching.ARTIFACTS)
 
 def _below(stage):
     """`stage` and every stage whose upstream chain passes through it, in run order."""
-    from stancecast.pipeline import STAGES
     chain = []
     for name in STAGE_ORDER:
         upstream = name
@@ -509,7 +508,7 @@ class TestInterruptedRerun:
 
         monkeypatch.setattr(pipeline_mod, "atomic_write_text", interrupted_after_first)
         with pytest.raises(KeyboardInterrupt):
-            pipeline_mod.run_features(PipelineConfig.from_file(config, list(b[1::2])))
+            pipeline_mod.run_stage(PipelineConfig.from_file(config, list(b[1::2])), "features")
         monkeypatch.setattr(pipeline_mod, "atomic_write_text", real)
         assert calls[0] == "features_FS0.tsv"
         assert (tmp_path / "features_FS0.tsv").read_bytes() != fs0
@@ -634,6 +633,7 @@ def test_help_describes_every_subcommand(capsys, monkeypatch):
             described[words[0]] = words[1:]
     assert set(described) == set(_COMMANDS)
     assert all(described.values()), described
+    assert set(_COMMANDS) == set(STAGES) | {"synth"}
 
 
 def test_synth_cli_writes_truth_and_cutoffs(tmp_path):
@@ -681,6 +681,30 @@ def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, mess
     assert message in err
     assert sorted(path.name for path in tmp_path.iterdir()) == names
     assert _stats(tmp_path, names) == before
+
+
+@pytest.mark.parametrize("override", [
+    "learning.search_iters=0", "learning.outer_k=0", "learning.inner_k=0",
+    'learning.outer_k="3"', "learning.inner_k=1", "features.vocab_size=-3",
+    "features.vocab_size=2.5", "labeler.lower_cutoff=0.9", "labeler.extreme_fraction=0.9",
+    "labeler.alpha=0", "labeler.holdout_fraction=2", "labeler.min_messages=x",
+    'periods=["1970-01-14", "1970-01-12"]', 'periods=["1970-01-12", "soon"]',
+    "features.sets=5",
+])
+def test_out_of_range_value_is_config_error_at_load(tmp_path, capsys, override):
+    config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    capsys.readouterr()
+    assert run("synth", config, "--set", override) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_undecodable_config_is_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert run("synth", config) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {config}")
 
 
 def test_empty_synth_section_keeps_cli_defaults(tmp_path):

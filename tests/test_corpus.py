@@ -206,6 +206,10 @@ def subtree_reply_count(forest, entry_id):
     return sum(one_period_index(forest).replies[entry_id])
 
 
+def _subtree_preorder(forest, eid):
+    return [eid, *(e for kid in forest.children[eid] for e in _subtree_preorder(forest, kid))]
+
+
 class TestSubtreeReplyCount:
     def test_reference_counts(self, fig_forest):
         assert subtree_reply_count(fig_forest, "n1") == 3
@@ -221,8 +225,22 @@ class TestSubtreeReplyCount:
     def test_recurrence_on_random_trees(self):
         rng = random.Random(11)
         for trial in range(20):
-            entries = random_tree_entries(rng, rng.randint(1, 50), prefix=f"x{trial}_")
+            entries = [e for t in range(rng.randint(1, 3))
+                       for e in random_tree_entries(rng, rng.randint(1, 50),
+                                                    start=rng.randrange(3),
+                                                    prefix=f"x{trial}_{t}_")]
+            rng.shuffle(entries)
             forest = build_forest(entries)
+            # `order` is the forest's pre-order: every entry once, the roots
+            # in (timestamp, id) order, each parent before its children.
+            assert sorted(forest.order) == sorted(forest.entry_index)
+            assert forest.roots == sorted(forest.roots,
+                                          key=lambda r: (forest.entry_index[r].timestamp, r))
+            position = {eid: i for i, eid in enumerate(forest.order)}
+            assert all(position[eid] < position[kid]
+                       for eid, kids in forest.children.items() for kid in kids)
+            assert forest.order == [eid for root in forest.roots
+                                    for eid in _subtree_preorder(forest, root)]
             counts = {eid: sum(t) for eid, t in one_period_index(forest).replies.items()}
             assert counts.keys() == forest.entry_index.keys()
             for eid in forest.entry_index:

@@ -374,6 +374,18 @@ class TestNestedCV:
             nested_cv(noise_instances(0, n=5), ClassifierSpec("gaussian_nb"),
                       outer_k=10, inner_k=2, search_iters=1, seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(outer_k=1), "outer_k must be an integer of at least 2, got 1"),
+        (dict(outer_k="3"), "outer_k must be an integer of at least 2, got '3'"),
+        (dict(inner_k=1), "inner_k must be an integer of at least 2, got 1"),
+        (dict(inner_k=True), "inner_k must be an integer of at least 2, got True"),
+        (dict(search_iters=0), "search_iters must be an integer of at least 1, got 0"),
+    ])
+    def test_fold_and_iteration_ranges_rejected(self, kwargs, message):
+        params = {**dict(outer_k=3, inner_k=2, search_iters=1, seed=0), **kwargs}
+        with pytest.raises(ValueError, match=message):
+            nested_cv(noise_instances(0, n=30), ClassifierSpec("gaussian_nb"), **params)
+
     def test_too_few_users_for_grouping_rejected(self):
         rng = np.random.default_rng(1)
         instances = labeled_rows([

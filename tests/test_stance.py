@@ -313,11 +313,20 @@ def test_distinct_hashtag_mode_counts_tags_once():
     entries = [
         Entry("a", "amy", "#out #out #leaveeu", 10),
         Entry("b", "amy", "#out #remain", 20, "a"),
+        Entry("c", "bob", "#Remain #stay #remain #offtopic", 30, "b"),
+        Entry("d", "bob", "#REMAIN", 40, "c"),
+        Entry("e", "[deleted]", "#out #out", 50, "d"),
     ]
-    occurrences = collect_user_stats(entries, LEX)["amy"]
-    distinct = collect_user_stats(entries, LEX, distinct_tags=True)["amy"]
-    assert (occurrences.pro_tags, occurrences.against_tags) == (4, 1)
-    assert (distinct.pro_tags, distinct.against_tags) == (2, 1)
+    occurrences = collect_user_stats(entries, LEX)
+    distinct = collect_user_stats(entries, LEX, distinct_tags=True)
+    assert set(occurrences) == set(distinct) == {"amy", "bob"}
+    assert occurrences["amy"] == UserStats(messages=2, pro_tags=4, against_tags=1)
+    assert distinct["amy"] == UserStats(messages=2, pro_tags=2, against_tags=1)
+    assert occurrences["bob"] == UserStats(messages=2, pro_tags=0, against_tags=4)
+    assert distinct["bob"] == UserStats(messages=2, pro_tags=0, against_tags=2)
+    for user, stats in occurrences.items():
+        texts = [e.content for e in entries if e.author == user]
+        assert stats.pro_tags - stats.against_tags == leave_score(texts, LEX)
 
 
 def test_weak_supervised_training_on_separated_vocab():
