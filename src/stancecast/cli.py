@@ -15,12 +15,11 @@ import os
 import sys
 
 from .config import ConfigError, PipelineConfig
-from .pipeline import STAGES, PipelineError, run_stage, run_synth
+from .pipeline import STAGES, PipelineError, run_stage
 
 log = logging.getLogger("stancecast.cli")
 
-_COMMANDS = {"synth": run_synth,
-             **{name: functools.partial(run_stage, stage=name) for name in STAGES}}
+_COMMANDS = {name: functools.partial(run_stage, stage=name) for name in STAGES}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,9 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Thread reconstruction, stance labeling, and next-stance forecasting",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, runner in _COMMANDS.items():
-        help_text = STAGES[name].help if name in STAGES else runner.__doc__
-        sub = subparsers.add_parser(name, help=help_text)
+    for name, stage in STAGES.items():
+        sub = subparsers.add_parser(name, help=stage.help)
         sub.add_argument("--config", required=True, help="path to the JSON config file")
         sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config key, e.g. learning.outer_k=5")

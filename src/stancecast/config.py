@@ -187,13 +187,16 @@ def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = 
     if not isinstance(data, dict):
         problems.append(f"'{name}' must be a JSON object")
         return factory(**dict(defaults))
-    known = {f.name for f in factory.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - known
+    fields = factory.__dataclass_fields__  # type: ignore[attr-defined]
+    unknown = set(data) - set(fields)
     if unknown:
         problems.append(f"unknown keys in '{name}': {sorted(unknown)}")
     kwargs: dict[str, Any] = dict(defaults)
-    kwargs.update((k, v) for k, v in data.items() if k in known)
+    kwargs.update((k, v) for k, v in data.items() if k in fields)
     try:
+        for key, f in fields.items():
+            if isinstance(f.default, bool) and not isinstance(kwargs.get(key, False), bool):
+                raise ValueError(f"{key} must be true or false, got {kwargs[key]!r}")
         for key, fn in (coerce or {}).items():
             if key in kwargs:
                 kwargs[key] = fn(kwargs[key])
@@ -246,10 +249,10 @@ def _apply_override(raw: dict, override: str) -> None:
         value = json.loads(value_text)
     except json.JSONDecodeError:
         value = value_text
+    *path, last = dotted.split(".")
     target = raw
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        target = target.setdefault(part, {})
-        if not isinstance(target, dict):
-            raise ConfigError(f"override {override!r} crosses a non-object key")
-    target[parts[-1]] = value
+    for part in path:  # a non-object, once met, stays the target
+        target = target.setdefault(part, {}) if isinstance(target, dict) else target
+    if not isinstance(target, dict):
+        raise ConfigError(f"override {override!r} crosses a non-object key")
+    target[last] = value

@@ -1,11 +1,10 @@
-"""Pipeline stages behind the CLI: ingest, profile, label, features, evaluate, report.
+"""Pipeline stages behind the CLI: synth, ingest, profile, label, features, evaluate, report.
 
-Every stage but synth is a `Stage` run by `run_stage`: refuse a stale stage
-anywhere up its chain, compute the stage key (its config fields plus the
-upstream's hash), return the recorded summary on a cache hit, and otherwise
-remove `<stage>.hash`, write every artifact atomically and the hash last, so an
-interrupted run never masquerades as a finished stage and a changed seed
-invalidates everything downstream of it.
+Every stage is a `Stage` run by `run_stage`: refuse a stale stage anywhere up
+its chain, compute the stage key (its config fields plus the upstream's hash),
+do nothing on a cache hit, and otherwise remove `<stage>.hash`, write every
+artifact atomically and the hash last, so an interrupted run never masquerades
+as a finished stage and a changed seed invalidates everything downstream of it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .stance import (
     label_period_users,
     train_weak_supervised,
 )
-from .synth import SyntheticCorpus, generate_synthetic_corpus, truth_to_tsv
+from .synth import generate_synthetic_corpus, truth_to_tsv
 
 log = logging.getLogger("stancecast.pipeline")
 
@@ -100,8 +99,7 @@ class Stage:
     upstream: str | None
     key: Callable[[PipelineConfig], dict]  # key fields besides stage and upstream
     artifacts: tuple[str, ...]  # "{set}" repeats a name for every feature set
-    summary: str  # JSON file returned on a cache hit
-    build: Callable[[PipelineConfig], tuple[Files, dict]]
+    build: Callable[[PipelineConfig], Files]
 
 
 def stage_key(config: PipelineConfig, stage: str) -> str:
@@ -153,9 +151,9 @@ def _stale_upstream(config: PipelineConfig, stage: str) -> str | None:
     return None
 
 
-def run_stage(config: PipelineConfig, stage: str) -> dict:
-    """Run `stage` of `config`, or return its recorded summary on a cache hit."""
-    spec, out = STAGES[stage], config.output_dir
+def run_stage(config: PipelineConfig, stage: str) -> None:
+    """Run `stage` of `config`, unless its recorded hash shows it current."""
+    out = config.output_dir
     stale = _stale_upstream(config, stage)
     if stale is not None:
         raise PipelineError(f"stage '{stale}' is stale: the config or an upstream "
@@ -163,15 +161,14 @@ def run_stage(config: PipelineConfig, stage: str) -> dict:
     key = stage_key(config, stage)
     if (out / f"{stage}.hash").exists() and not _stale(config, stage, key):
         log.info("%s: cache hit", stage)
-        return json.loads((out / spec.summary).read_text(encoding="utf-8"))
-    files, summary = spec.build(config)
+        return
+    files = STAGES[stage].build(config)
     # Once one artifact is rewritten the old hash no longer vouches for the
     # set, so it goes first: an interrupted run leaves the stage unrun.
     (out / f"{stage}.hash").unlink(missing_ok=True)
     for name, text in files:
         atomic_write_text(out / name, text)
     atomic_write_text(out / f"{stage}.hash", key + "\n")
-    return summary
 
 
 def _load_corpus(config: PipelineConfig) -> tuple[list[Entry], TimePartition]:
@@ -185,6 +182,20 @@ def _load_stances(config: PipelineConfig) -> StanceAssignment:
 
 
 # ---------------------------------------------------------------------------
+# synth
+# ---------------------------------------------------------------------------
+
+def _build_synth(config: PipelineConfig) -> Files:
+    generated = generate_synthetic_corpus(config.synth, seed=config.seed)
+    log.info("synth: %d entries over %d periods",
+             len(generated.entries), config.synth.n_periods)
+    iso = [datetime.fromtimestamp(ts, tz=timezone.utc).isoformat() for ts in generated.cutoffs]
+    return [("synthetic.jsonl", corpus_mod.entries_to_jsonl(generated.entries)),
+            ("synthetic_truth.tsv", truth_to_tsv(generated)),
+            ("synthetic_cutoffs.json", _json({"cutoffs": iso}))]
+
+
+# ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
 
@@ -193,7 +204,7 @@ def _ingest_key(config: PipelineConfig) -> dict:
     return {"input": _file_digest(config.input), "periods": list(config.periods)}
 
 
-def _build_ingest(config: PipelineConfig) -> tuple[Files, dict]:
+def _build_ingest(config: PipelineConfig) -> Files:
     try:
         with open(config.input, encoding="utf-8") as handle:
             parsed = parse_entries(handle)
@@ -216,14 +227,14 @@ def _build_ingest(config: PipelineConfig) -> tuple[Files, dict]:
     }
     log.info("ingest: %d entries, %d threads", diagnostics["entries"], diagnostics["threads"])
     return [("corpus.jsonl", corpus_mod.entries_to_jsonl(repaired)),
-            ("ingest_diagnostics.json", _json(diagnostics))], diagnostics
+            ("ingest_diagnostics.json", _json(diagnostics))]
 
 
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------
 
-def _build_profile(config: PipelineConfig) -> tuple[Files, dict]:
+def _build_profile(config: PipelineConfig) -> Files:
     monthly: Counter[str] = Counter()
     monthly_posts: Counter[str] = Counter()
     per_user: Counter[str] = Counter()
@@ -271,7 +282,7 @@ def _build_profile(config: PipelineConfig) -> tuple[Files, dict]:
 
     return [("profile_monthly.tsv", _lines(month_lines)),
             ("profile_ccdf.tsv", _lines(ccdf_lines)),
-            ("profile_summary.json", _json(summary))], summary
+            ("profile_summary.json", _json(summary))]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +298,7 @@ def _label_key(config: PipelineConfig) -> dict:
     }
 
 
-def _build_label(config: PipelineConfig) -> tuple[Files, dict]:
+def _build_label(config: PipelineConfig) -> Files:
     entries, partition = _load_corpus(config)
     lexicon = (HashtagLexicon.from_file(config.lexicon)
                if config.lexicon else HashtagLexicon.default())
@@ -319,14 +330,14 @@ def _build_label(config: PipelineConfig) -> tuple[Files, dict]:
         "oov_rate_per_period": {str(k): v for k, v in sorted(assignment.oov_rate.items())},
     }
     return [("stances.tsv", assignment.to_tsv()),
-            ("labeler.json", _json(diagnostics))], diagnostics
+            ("labeler.json", _json(diagnostics))]
 
 
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
 
-def _build_features(config: PipelineConfig) -> tuple[Files, dict]:
+def _build_features(config: PipelineConfig) -> Files:
     entries, partition = _load_corpus(config)
     stances = _load_stances(config)
     forest = build_forest(entries)
@@ -341,7 +352,7 @@ def _build_features(config: PipelineConfig) -> tuple[Files, dict]:
     try:
         tables = extract_all(forest, partition, stances, sets=bases,
                              vocab_width=config.features.vocab_size,
-                             vocab=vocab or None)
+                             vocab=vocab)
     except ValueError as exc:
         raise PipelineError(f"feature extraction failed: {exc}") from exc
 
@@ -361,7 +372,7 @@ def _build_features(config: PipelineConfig) -> tuple[Files, dict]:
                 ["index\tname", *(f"{i}\t{name}" for i, name in enumerate(columns[s]))])
         yield "features.json", _json(meta)
 
-    return files(), meta
+    return files()
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +422,7 @@ def _feature_tables(config: PipelineConfig) -> Iterator[tuple[str, FeatureTable]
         del union
 
 
-def _build_evaluate(config: PipelineConfig) -> tuple[Files, dict]:
+def _build_evaluate(config: PipelineConfig) -> Files:
     stances = _load_stances(config)
     params = config.learning
     combos, skipped = [], []
@@ -457,10 +468,10 @@ def _build_evaluate(config: PipelineConfig) -> tuple[Files, dict]:
         "combos": combos,
         "skipped": skipped,
     }
-    return [("report.json", _json(report))], report
+    return [("report.json", _json(report))]
 
 
-def _build_report(config: PipelineConfig) -> tuple[Files, dict]:
+def _build_report(config: PipelineConfig) -> Files:
     with _open_artifact(config, "evaluate", "report.json") as handle:
         report = json.load(handle)
 
@@ -475,49 +486,30 @@ def _build_report(config: PipelineConfig) -> tuple[Files, dict]:
             cells = ["n/a" if v is None else f"{v:.6f}" for v in row]
             transitions.append("\t".join([*head, current, *cells]))
     return [("report_bars.tsv", _lines(bars)),
-            ("report_transitions.tsv", _lines(transitions))], report
-
+            ("report_transitions.tsv", _lines(transitions))]
 
 
 STAGES = {
+    "synth": Stage("Generate a synthetic corpus plus its ground-truth trajectory sidecar.",
+                   None, lambda c: {"seed": c.seed, "params": dataclasses.asdict(c.synth)},
+                   ("synthetic.jsonl", "synthetic_truth.tsv", "synthetic_cutoffs.json"),
+                   _build_synth),
     "ingest": Stage("Parse the dump, rebuild the forest, partition, persist diagnostics.",
                     None, _ingest_key, ("corpus.jsonl", "ingest_diagnostics.json"),
-                    "ingest_diagnostics.json", _build_ingest),
+                    _build_ingest),
     "profile": Stage("Emit posting-volume, role, and messages-per-user distributions.",
                      "ingest", lambda c: {},
                      ("profile_monthly.tsv", "profile_ccdf.tsv", "profile_summary.json"),
-                     "profile_summary.json", _build_profile),
+                     _build_profile),
     "label": Stage("Weak-label hashtag extremes, train the text model, label every period.",
-                   "ingest", _label_key, ("stances.tsv", "labeler.json"),
-                   "labeler.json", _build_label),
+                   "ingest", _label_key, ("stances.tsv", "labeler.json"), _build_label),
     "features": Stage("Extract the FS0-FS5 feature tables of every labeled user-period.",
                       "label", lambda c: {"params": dataclasses.asdict(c.features)},
                       ("features_{set}.tsv", "features_{set}.schema.tsv", "features.json"),
-                      "features.json", _build_features),
+                      _build_features),
     "evaluate": Stage("Nested cross-validation of every family on every feature set.",
-                      "features", _evaluate_key, ("report.json",),
-                      "report.json", _build_evaluate),
+                      "features", _evaluate_key, ("report.json",), _build_evaluate),
     "report": Stage("Render plot-ready TSVs from an existing evaluation report.",
                     "evaluate", lambda c: {},
-                    ("report_bars.tsv", "report_transitions.tsv"), "report.json", _build_report),
+                    ("report_bars.tsv", "report_transitions.tsv"), _build_report),
 }
-
-
-# ---------------------------------------------------------------------------
-# synth
-# ---------------------------------------------------------------------------
-
-def run_synth(config: PipelineConfig) -> SyntheticCorpus:
-    """Generate a synthetic corpus plus its ground-truth trajectory sidecar."""
-    generated = generate_synthetic_corpus(config.synth, seed=config.seed)
-    atomic_write_text(config.output_dir / "synthetic.jsonl",
-                      corpus_mod.entries_to_jsonl(generated.entries))
-    atomic_write_text(config.output_dir / "synthetic_truth.tsv", truth_to_tsv(generated))
-    iso = [
-        datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
-        for ts in generated.cutoffs
-    ]
-    atomic_write_text(config.output_dir / "synthetic_cutoffs.json", _json({"cutoffs": iso}))
-    log.info("synth: %d entries over %d periods",
-             len(generated.entries), config.synth.n_periods)
-    return generated

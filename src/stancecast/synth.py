@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import Entry, TimePartition
 from .stance import STANCE_ORDER, Stance
@@ -47,19 +47,25 @@ class SyntheticConfig:
     start_time: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.transition_strength <= 1.0:
-            raise ValueError("transition_strength must lie in [0, 1]")
+        for f in fields(self):  # an int field takes an int, not a bool or a float
+            if type(f.default) is int and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        for name in ("transition_strength", "thread_focus", "chain_bias", "hashtag_prob",
+                     "stance_word_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.participation <= 1.0:
             raise ValueError("participation must lie in (0, 1]")
-        if not 0.0 <= self.thread_focus <= 1.0:
-            raise ValueError("thread_focus must lie in [0, 1]")
-        if not 0.0 <= self.chain_bias <= 1.0:
-            raise ValueError("chain_bias must lie in [0, 1]")
-        if not 0.0 <= self.hashtag_prob <= 1.0:
-            raise ValueError("hashtag_prob must lie in [0, 1]")
         if min(self.n_users, self.n_periods, self.threads_per_period,
                self.entries_per_user, self.words_per_entry) < 1:
             raise ValueError("counts must be positive")
+        if self.period_seconds < 1:
+            raise ValueError("period_seconds must be at least 1")
+        # `_content` draws from a vocabulary unless its probability rules it out.
+        for name, least in (("stance_vocab_size", int(self.stance_word_prob > 0)),
+                            ("common_vocab_size", int(self.stance_word_prob < 1))):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 @dataclass

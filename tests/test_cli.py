@@ -298,6 +298,7 @@ def _stats(tmp_path, names):
 class TestCaching:
     # Every artifact of each cached stage, in stage order.
     ARTIFACTS = {
+        "synth": ["synthetic.jsonl", "synthetic_truth.tsv", "synthetic_cutoffs.json"],
         "ingest": ["corpus.jsonl", "ingest_diagnostics.json"],
         "profile": ["profile_monthly.tsv", "profile_ccdf.tsv", "profile_summary.json"],
         "label": ["stances.tsv", "labeler.json"],
@@ -435,6 +436,7 @@ class TestAtomicity:
 # Overrides that give each stage with key fields of its own another key; the
 # stages below it follow through their upstream's hash.
 RERUN_CHANGES = {
+    "synth": ["synth.n_users=44"],
     "ingest": ['periods=["1970-01-13", "1970-01-14", "1970-01-16", "1970-01-18"]'],
     "label": ["labeler.lower_cutoff=0.45", "labeler.upper_cutoff=0.55"],
     "features": ['features.sets=["FS0", "FS3"]'],
@@ -459,7 +461,7 @@ def _artifact_bytes(directory):
     """Every file a stage writes, `report.json` without its `created` stamp."""
     found = {}
     for path in sorted(directory.iterdir()):
-        if path.name == "config.json" or path.name.startswith("synthetic"):
+        if path.name == "config.json":
             continue
         data = path.read_bytes()
         if path.name == "report.json":
@@ -478,7 +480,7 @@ def scratch_runs(tmp_path_factory):
         workdir = tmp_path_factory.mktemp(change)
         config = write_config(workdir)
         extra = [arg for override in overrides for arg in ("--set", override)]
-        for command in ("synth", *STAGE_ORDER):
+        for command in STAGE_ORDER:
             assert run(command, config, *extra) == 0, (change, command)
         runs[change] = (workdir, extra, _artifact_bytes(workdir))
         # The change must show in the bytes of its own stage's artifacts.
@@ -558,8 +560,12 @@ class TestInterruptedRerun:
                 assert k > 1
                 break
             assert 1 in codes and not list(workdir.glob("*.tmp"))
-            # Last stage first, so a stage meets its upstream still half written.
-            for stage in (*reversed(STAGE_ORDER), *STAGE_ORDER):
+            # Last stage first, so a stage meets its upstream still half
+            # written. synth has no upstream: its corpus is ingest's input,
+            # which ingest takes as it finds it, so after a broken synth the
+            # walk starts at synth.
+            walk = STAGE_ORDER if changed == "synth" else (*reversed(STAGE_ORDER), *STAGE_ORDER)
+            for stage in walk:
                 capsys.readouterr()
                 code = run(stage, config, *extra)
                 err = capsys.readouterr().err
@@ -633,7 +639,7 @@ def test_help_describes_every_subcommand(capsys, monkeypatch):
             described[words[0]] = words[1:]
     assert set(described) == set(_COMMANDS)
     assert all(described.values()), described
-    assert set(_COMMANDS) == set(STAGES) | {"synth"}
+    assert set(_COMMANDS) == set(STAGES)
 
 
 def test_synth_cli_writes_truth_and_cutoffs(tmp_path):
@@ -642,6 +648,54 @@ def test_synth_cli_writes_truth_and_cutoffs(tmp_path):
     assert (tmp_path / "synthetic_truth.tsv").exists()
     cutoffs = json.loads((tmp_path / "synthetic_cutoffs.json").read_text())
     assert len(cutoffs["cutoffs"]) == BASE_CONFIG["synth"]["n_periods"] + 1
+
+
+@pytest.mark.parametrize("override", ["seed=12", "synth.n_users=41"])
+def test_changed_synth_key_regenerates_the_corpus(pipeline_dir, tmp_path_factory, override):
+    tmp_path, config = pipeline_dir
+    names = ["synth.hash", *TestCaching.ARTIFACTS["synth"]]
+    base = {name: (tmp_path / name).read_bytes() for name in names}
+    scratch = tmp_path_factory.mktemp("scratch")
+    assert run("synth", write_config(scratch), "--set", override) == 0
+    assert run("synth", config, "--set", override) == 0
+    changed = {name: (tmp_path / name).read_bytes() for name in names}
+    assert changed == {name: (scratch / name).read_bytes() for name in names}
+    assert changed["synth.hash"] != base["synth.hash"]
+    assert changed["synthetic.jsonl"] != base["synthetic.jsonl"]
+    assert run("synth", config) == 0
+    assert {name: (tmp_path / name).read_bytes() for name in names} == base
+
+
+@pytest.mark.parametrize("vocab_size", [0, 20])
+def test_features_stage_builds_one_vocabulary(pipeline_dir, monkeypatch, vocab_size):
+    import stancecast.features as features_mod
+    import stancecast.pipeline as pipeline_mod
+    _, config = pipeline_dir
+    real = features_mod.build_vocab_top_words
+    limits = []
+
+    def counting(entries, limit=100):
+        limits.append(limit)
+        return real(entries, limit=limit)
+
+    monkeypatch.setattr(features_mod, "build_vocab_top_words", counting)
+    monkeypatch.setattr(pipeline_mod, "build_vocab_top_words", counting)
+    sets = ("--set", 'features.sets=["FS0"]', "--set", f"features.vocab_size={vocab_size}")
+    for command in ("ingest", "label", "features"):
+        assert run(command, config, *sets) == 0, command
+    assert limits == [vocab_size]
+
+
+@pytest.mark.parametrize("root, override", [
+    ([1, 2], "seed=1"), ("text", "learning.outer_k=3"), ({"seed": 11}, "seed.x=1"),
+    ({"learning": [3]}, "learning.outer_k=3"),
+])
+def test_override_across_a_non_object_is_config_error(tmp_path, capsys, root, override):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(root), encoding="utf-8")
+    assert run("synth", config, "--set", override) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_invalid_synth_value_is_config_error(tmp_path, capsys):
@@ -689,7 +743,10 @@ def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, mess
     "features.vocab_size=2.5", "labeler.lower_cutoff=0.9", "labeler.extreme_fraction=0.9",
     "labeler.alpha=0", "labeler.holdout_fraction=2", "labeler.min_messages=x",
     'periods=["1970-01-14", "1970-01-12"]', 'periods=["1970-01-12", "soon"]',
-    "features.sets=5",
+    "features.sets=5", "learning.group_by_user=False", "labeler.distinct_hashtags=no",
+    "learning.per_transition=1", "synth.n_users=2.5", "synth.n_users=true",
+    "synth.stance_vocab_size=0", "synth.common_vocab_size=0", "synth.period_seconds=0",
+    "synth.start_time=-5.5", "synth.stance_word_prob=2",
 ])
 def test_out_of_range_value_is_config_error_at_load(tmp_path, capsys, override):
     config = write_config(tmp_path, output_dir=str(tmp_path / "out"))

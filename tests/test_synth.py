@@ -19,6 +19,37 @@ def test_invalid_transition_strength_rejected():
         SyntheticConfig(transition_strength=-0.1)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n_users": 2.5}, "n_users must be an integer"),
+    ({"n_periods": True}, "n_periods must be an integer"),
+    ({"start_time": -5.5}, "start_time must be an integer"),
+    ({"period_seconds": "100"}, "period_seconds must be an integer"),
+    ({"period_seconds": 0}, "period_seconds must be at least 1"),
+    ({"stance_word_prob": 2}, "stance_word_prob must lie in [0, 1]"),
+    ({"stance_word_prob": -0.1}, "stance_word_prob must lie in [0, 1]"),
+    ({"stance_vocab_size": 0}, "stance_vocab_size must be at least 1"),
+    ({"stance_vocab_size": -1, "stance_word_prob": 0.0}, "stance_vocab_size must be at least 0"),
+    ({"common_vocab_size": 0}, "common_vocab_size must be at least 1"),
+    ({"common_vocab_size": -1, "stance_word_prob": 1.0}, "common_vocab_size must be at least 0"),
+])
+def test_out_of_range_fields_rejected(fields, message):
+    with pytest.raises(ValueError, match=message.replace("[", r"\[")):
+        SyntheticConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"stance_vocab_size": 0, "stance_word_prob": 0.0},
+    {"common_vocab_size": 0, "stance_word_prob": 1.0},
+    {"period_seconds": 1, "start_time": -500},
+])
+def test_range_edges_still_generate(fields):
+    config = SyntheticConfig(n_users=12, n_periods=2, threads_per_period=2, **fields)
+    generated = generate_synthetic_corpus(config, seed=3)
+    parsed = parse_entries(entries_to_jsonl(generated.entries).splitlines())
+    assert parsed.malformed == 0 and len(parsed.entries) == len(generated.entries) > 0
+    assert list(generated.cutoffs) == sorted(set(generated.cutoffs))
+
+
 def test_fixed_seed_is_byte_identical():
     config = SyntheticConfig(n_users=40, n_periods=3, threads_per_period=4,
                              hashtag_prob=0.3)
