@@ -6,11 +6,11 @@ individual keys. Validation happens before any output is touched.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from numbers import Real
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
 
@@ -46,14 +46,14 @@ class LabelerParams:
     distinct_hashtags: bool = False
 
     def __post_init__(self) -> None:
-        _check(self, "alpha", Real, lambda v: 0 < v < math.inf, "a finite number above 0")
+        _check(self, "alpha", lambda v: 0 < v < math.inf, "a finite number above 0")
         for name in ("min_messages", "rare_df"):
-            _check(self, name, int, lambda v: v >= 0, "an integer of at least 0")
-        _check(self, "extreme_fraction", Real, lambda v: 0 < v <= 0.5, "a number in (0, 0.5]")
-        _check(self, "upper_cutoff", Real, lambda v: 0 < v <= 1, "a number in (0, 1]")
-        _check(self, "lower_cutoff", Real, lambda v: 0 <= v < self.upper_cutoff,
+            _check(self, name, lambda v: v >= 0, "an integer of at least 0")
+        _check(self, "extreme_fraction", lambda v: 0 < v <= 0.5, "a number in (0, 0.5]")
+        _check(self, "upper_cutoff", lambda v: 0 < v <= 1, "a number in (0, 1]")
+        _check(self, "lower_cutoff", lambda v: 0 <= v < self.upper_cutoff,
                "a number in [0, upper_cutoff)")
-        _check(self, "holdout_fraction", Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+        _check(self, "holdout_fraction", lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 @dataclass
@@ -62,7 +62,9 @@ class FeatureParams:
     sets: tuple[str, ...] = SET_IDS
 
     def __post_init__(self) -> None:
-        _check(self, "vocab_size", int, lambda v: v >= 0, "an integer of at least 0")
+        _check(self, "vocab_size", lambda v: v >= 0, "an integer of at least 0")
+        _check(self, "sets", lambda v: all(s in SET_IDS for s in v),
+               "a list of " + ", ".join(SET_IDS))
 
 
 @dataclass
@@ -77,18 +79,26 @@ class LearningParams:
 
     def __post_init__(self) -> None:
         check_cv_params(self.outer_k, self.inner_k, self.search_iters)
+        _check(self, "families", lambda v: all(f in FAMILIES for f in v),
+               "a list of " + ", ".join(FAMILIES))
+        # One draw checks each dimension's kind and arguments, then every
+        # edge value must build the family's classifier.
+        for family, space in self.spaces.items():
+            try:
+                if family not in FAMILIES or not isinstance(space, dict):
+                    raise ValueError("not a classifier family mapped to an object")
+                sample_params(space, random.Random(0))
+                for params in _edge_params(space):
+                    build_classifier(family, params)
+            except (ValueError, TypeError, IndexError, OverflowError) as exc:
+                raise ValueError(f"spaces[{family!r}]: {exc}") from None
 
 
-def _check(params, name: str, kind: type, ok: Callable[[Any], bool], wanted: str) -> None:
-    """Raise `ValueError` unless `params.<name>` is a `kind`, not a bool, for which `ok` holds."""
+def _check(params, name: str, ok: Callable[[Any], bool], wanted: str) -> None:
+    """Raise `ValueError` unless `ok` holds for `params.<name>`."""
     value = getattr(params, name)
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+    if not ok(value):
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
-
-
-# The CLI's synthetic corpus plants hashtags by default; the library's
-# `SyntheticConfig` does not.
-_SYNTH_DEFAULTS = {"hashtag_prob": 0.25}
 
 
 @dataclass
@@ -101,13 +111,29 @@ class PipelineConfig:
     labeler: LabelerParams = field(default_factory=LabelerParams)
     features: FeatureParams = field(default_factory=FeatureParams)
     learning: LearningParams = field(default_factory=LearningParams)
-    synth: SyntheticConfig = field(
-        default_factory=lambda: SyntheticConfig(**_SYNTH_DEFAULTS))
+    # The CLI's synthetic corpus plants hashtags by default; the library's
+    # `SyntheticConfig` does not.
+    synth: SyntheticConfig = field(default_factory=lambda: SyntheticConfig(hashtag_prob=0.25))
+
+    def __post_init__(self) -> None:
+        _check(self, "seed", lambda v: type(v) is int, "an integer")
+        for name in ("input", "output_dir"):
+            _check(self, name, lambda v: isinstance(v, Path) or (isinstance(v, str) and v != ""),
+                   "a path string")
+            setattr(self, name, Path(getattr(self, name)))
+        _check(self, "lexicon", lambda v: v is None or isinstance(v, (str, Path)),
+               "a path string or null")
+        self.lexicon = Path(self.lexicon) if self.lexicon else None
+        try:
+            TimePartition.from_iso_dates(self.periods)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"periods must be a list of at least two increasing ISO dates: {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: Optional[list[str]] = None) -> "PipelineConfig":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -117,60 +143,12 @@ class PipelineConfig:
         return cls.from_dict(raw)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
+    def from_dict(cls, raw: Any) -> "PipelineConfig":
         problems: list[str] = []
-        seed = raw.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            problems.append("'seed' is mandatory and must be an integer")
-            seed = 0
-        input_path = raw.get("input")
-        if not isinstance(input_path, str) or not input_path:
-            problems.append("'input' is mandatory and must be a path string")
-            input_path = "corpus.jsonl"
-        output_dir = raw.get("output_dir")
-        if not isinstance(output_dir, str) or not output_dir:
-            problems.append("'output_dir' is mandatory and must be a path string")
-            output_dir = "out"
-        periods = raw.get("periods", list(BREXIT_PERIOD_CUTOFFS))
-        try:
-            TimePartition.from_iso_dates(periods if isinstance(periods, list) else ())
-        except (TypeError, ValueError) as exc:
-            problems.append(f"'periods' must be a list of at least two increasing ISO dates: {exc}")
-            periods = list(BREXIT_PERIOD_CUTOFFS)
-        lexicon = raw.get("lexicon")
-        if lexicon is not None and not isinstance(lexicon, str):
-            problems.append("'lexicon' must be a path string or null")
-            lexicon = None
-
-        labeler = _section(raw, "labeler", LabelerParams, problems)
-        features = _section(raw, "features", FeatureParams, problems,
-                            coerce={"sets": tuple})
-        learning = _section(raw, "learning", LearningParams, problems,
-                            coerce={"families": tuple})
-        synth = _section(raw, "synth", SyntheticConfig, problems, defaults=_SYNTH_DEFAULTS)
-
-        for family in learning.families:
-            if family not in FAMILIES:
-                problems.append(f"unknown classifier family {family!r}")
-        problems.extend(_space_problems(learning.spaces))
-        for set_id in features.sets:
-            if set_id not in SET_IDS:
-                problems.append(f"unknown feature set {set_id!r}")
+        config = _build(cls, raw, "config", problems)
         if problems:
-            raise ConfigError("invalid config: " + "; ".join(problems))
-        return cls(
-            input=Path(input_path),
-            output_dir=Path(output_dir),
-            seed=seed,
-            periods=tuple(periods),
-            lexicon=Path(lexicon) if lexicon else None,
-            labeler=labeler,
-            features=features,
-            learning=learning,
-            synth=synth,
-        )
+            raise ConfigError("; ".join(problems))
+        return config
 
     def require_input(self) -> None:
         if not self.input.exists():
@@ -181,59 +159,57 @@ class PipelineConfig:
             raise ConfigError(f"lexicon path does not exist: {self.lexicon}")
 
 
-def _section(raw: dict, name: str, factory, problems: list[str], coerce: dict = (),
-             defaults: dict = ()):
-    data = raw.get(name, {})
-    if not isinstance(data, dict):
-        problems.append(f"'{name}' must be a JSON object")
-        return factory(**dict(defaults))
-    fields = factory.__dataclass_fields__  # type: ignore[attr-defined]
-    unknown = set(data) - set(fields)
-    if unknown:
-        problems.append(f"unknown keys in '{name}': {sorted(unknown)}")
-    kwargs: dict[str, Any] = dict(defaults)
-    kwargs.update((k, v) for k, v in data.items() if k in fields)
+# The JSON type a field takes, by the type of its default: (default type,
+# accepted types, wanted). A bool passes only where the default is a bool.
+_JSON_TYPES = ((bool, bool, "true or false"), (int, int, "an integer"),
+               (float, (int, float), "a number"), (tuple, list, "a list"),
+               (dict, dict, "an object"))
+
+
+def _build(template, data: Any, where: str, problems: list[str]):
+    """Build a dataclass from the JSON object `data`, or append one problem and return None.
+
+    `template` is the dataclass, or an instance whose values are the
+    defaults. Every key must name a field, and every value must have the
+    JSON type of its field's default (a list is kept as a tuple). A field
+    whose default is a dataclass is built from its own object by this same
+    rule; a field without a default, or with None, is left to `__post_init__`.
+    """
     try:
-        for key, f in fields.items():
-            if isinstance(f.default, bool) and not isinstance(kwargs.get(key, False), bool):
-                raise ValueError(f"{key} must be true or false, got {kwargs[key]!r}")
-        for key, fn in (coerce or {}).items():
-            if key in kwargs:
-                kwargs[key] = fn(kwargs[key])
-        return factory(**kwargs)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(template)}
+        unknown = sorted(set(data) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        kwargs = {}
+        for name, value in data.items():
+            f = fields[name]
+            default = f.default_factory() if f.default_factory is not MISSING else f.default
+            if dataclasses.is_dataclass(default):
+                kwargs[name] = _build(default, value, f"'{name}' section", problems)
+                continue
+            for kind, accepted, wanted in _JSON_TYPES:
+                if isinstance(default, kind):
+                    if isinstance(value, bool) and kind is not bool \
+                            or not isinstance(value, accepted):
+                        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+                    value = tuple(value) if kind is tuple else value
+                    break
+            kwargs[name] = value
+        if isinstance(template, type):
+            return template(**kwargs)
+        return dataclasses.replace(template, **kwargs)
     except (TypeError, ValueError) as exc:
-        problems.append(f"invalid '{name}' section: {exc}")
-        return factory(**dict(defaults))
-
-
-def _space_problems(spaces: Any) -> list[str]:
-    """Check `learning.spaces`: one draw checks each dimension's kind and
-    arguments, then every edge value must build the family's classifier."""
-    if not isinstance(spaces, dict) or not all(isinstance(s, dict) for s in spaces.values()):
-        return ["'learning.spaces' must be an object of objects"]
-    problems = []
-    for family, space in spaces.items():
-        if family not in FAMILIES:
-            problems.append(f"unknown classifier family {family!r} in 'learning.spaces'")
-            continue
-        try:
-            sample_params(space, random.Random(0))
-            for params in _edge_params(space):
-                build_classifier(family, params)
-        except (ValueError, TypeError, IndexError, OverflowError) as exc:
-            problems.append(f"invalid 'learning.spaces.{family}': {exc}")
-    return problems
+        problems.append(f"invalid {where}: {exc}")
+        return None
 
 
 def _edge_params(space: dict) -> Iterator[dict]:
     """One candidate per edge value: every `choice` value and both ends of
     each `int`/`loguniform` range, the other dimensions at their first edge."""
-    edges = {}
-    for name, (kind, *args) in space.items():
-        if kind == "choice":
-            edges[name] = list(args[0])
-        else:
-            edges[name] = [int(end) for end in args] if kind == "int" else list(args)
+    edges = {name: list(args[0]) if kind == "choice" else list(args)
+             for name, (kind, *args) in space.items()}
     first = {name: values[0] for name, values in edges.items()}
     for name, values in edges.items():
         for value in values:

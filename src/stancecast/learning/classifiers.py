@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,6 +24,26 @@ LR_TOL = 1e-6
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ValueError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _require_count(name: str, value, nullable: bool = False) -> None:
+    """An integer of at least 1, not a bool; None too when `nullable`."""
+    if value is None and nullable:
+        return
+    _require(_is_int(value), f"{name} must be an integer, got {value!r}")
+    _require(value >= 1, f"{name} must be at least 1, got {value}")
+
+
+def _require_finite(name: str, value, positive: bool = True) -> None:
+    """A finite number, not a bool, above 0, or at least 0 unless `positive`."""
+    _require(isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+             and (value > 0 if positive else value >= 0),
+             f"{name} must be finite and {'positive' if positive else 'non-negative'}, "
+             f"got {value!r}")
 
 
 def _validate_training(X: np.ndarray, y: np.ndarray) -> None:
@@ -44,7 +65,7 @@ class LogisticRegressionClassifier:
     """
 
     def __init__(self, l2: float = 1.0):
-        _require(math.isfinite(l2) and l2 >= 0, f"l2 must be finite and non-negative, got {l2}")
+        _require_finite("l2", l2, positive=False)
         self.l2 = l2
         self.weights = None
         self.mean = None
@@ -106,7 +127,7 @@ class KNNClassifier:
     BLOCK_ROWS = 256  # distance rows selected at once; bounds the temporaries
 
     def __init__(self, k: int = 5):
-        _require(k >= 1, f"k must be at least 1, got {k}")
+        _require_count("k", k)
         self.k = k
         self.X = None
         self.y = None
@@ -144,6 +165,7 @@ class GaussianNBClassifier:
     """Per-feature Gaussian class-conditional baseline."""
 
     def __init__(self, var_smoothing: float = 1e-9):
+        _require_finite("var_smoothing", var_smoothing)
         self.var_smoothing = var_smoothing
         self.log_prior = None
         self.means = None
@@ -186,9 +208,8 @@ class RandomForestClassifier:
                  max_features: str = "sqrt"):
         _require(max_features in ("sqrt", "third", "all"),
                  f"unknown feature subset mode {max_features!r}")
-        _require(n_trees >= 1, f"n_trees must be at least 1, got {n_trees}")
-        _require(max_depth is None or max_depth >= 1,
-                 f"max_depth must be at least 1, got {max_depth}")
+        _require_count("n_trees", n_trees)
+        _require_count("max_depth", max_depth, nullable=True)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features
@@ -229,11 +250,9 @@ class GradientBoostingClassifier:
 
     def __init__(self, n_trees: int = 100, max_depth: int = 3,
                  learning_rate: float = 0.1):
-        _require(n_trees >= 1, f"n_trees must be at least 1, got {n_trees}")
-        _require(max_depth is None or max_depth >= 1,
-                 f"max_depth must be at least 1, got {max_depth}")
-        _require(math.isfinite(learning_rate) and learning_rate > 0,
-                 f"learning_rate must be finite and positive, got {learning_rate}")
+        _require_count("n_trees", n_trees)
+        _require_count("max_depth", max_depth, nullable=True)
+        _require_finite("learning_rate", learning_rate)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.learning_rate = learning_rate
@@ -318,7 +337,9 @@ def sample_params(space: Mapping[str, Sequence], rng: random.Random) -> dict:
             params[name] = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         elif kind == "int":
             lo, hi = args
-            params[name] = rng.randint(int(lo), int(hi))
+            _require(_is_int(lo) and _is_int(hi),
+                     f"int range ends for {name!r} must be integers, got {lo!r} and {hi!r}")
+            params[name] = rng.randint(lo, hi)
         elif kind == "choice":
             params[name] = rng.choice(list(args[0]))
         else:

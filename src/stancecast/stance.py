@@ -66,7 +66,7 @@ class HashtagLexicon:
         one hashtag per line, leading `#` optional."""
         sections: dict[str, set[str]] = {"pro": set(), "against": set()}
         current: Optional[str] = None
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for raw in handle:
                 line = raw.strip()
                 if not line:

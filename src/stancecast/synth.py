@@ -23,6 +23,8 @@ from .stance import STANCE_ORDER, Stance
 # Letters safe under the token pipeline: no vowels (so no suffix rule of
 # the stemmer fires) and no trailing-s collisions.
 _WORD_ALPHABET = "bcdfghjklmnpqrtvwxz"
+# `_word` spells two letters of it, so a vocabulary holds at most 361 words.
+_MAX_VOCAB = len(_WORD_ALPHABET) ** 2
 
 _PRO_HASHTAGS = ("#voteleave", "#takebackcontrol", "#betteroffout")
 _AGAINST_HASHTAGS = ("#strongerin", "#bremain", "#intogether")
@@ -64,8 +66,8 @@ class SyntheticConfig:
         # `_content` draws from a vocabulary unless its probability rules it out.
         for name, least in (("stance_vocab_size", int(self.stance_word_prob > 0)),
                             ("common_vocab_size", int(self.stance_word_prob < 1))):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}")
+            if not least <= getattr(self, name) <= _MAX_VOCAB:
+                raise ValueError(f"{name} must be at least {least} and at most {_MAX_VOCAB}")
 
 
 @dataclass
@@ -80,9 +82,8 @@ class SyntheticCorpus:
 
 
 def _word(prefix: str, i: int) -> str:
-    base = len(_WORD_ALPHABET)
-    digits = [_WORD_ALPHABET[(i // base) % base], _WORD_ALPHABET[i % base]]
-    return prefix + "".join(digits)
+    high, low = divmod(i, len(_WORD_ALPHABET))
+    return prefix + _WORD_ALPHABET[high] + _WORD_ALPHABET[low]
 
 
 def _vocabularies(config: SyntheticConfig) -> tuple[dict[Stance, list[str]], list[str]]:

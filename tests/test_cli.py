@@ -5,9 +5,10 @@ import os
 import signal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stancecast.cli import _COMMANDS, main
-from stancecast.config import PipelineConfig
+from stancecast.config import ConfigError, PipelineConfig
 from stancecast.corpus import Entry, entries_to_jsonl
 from stancecast.pipeline import STAGES, stage_key
 
@@ -96,6 +97,16 @@ class TestStages:
         assert run("ingest", config) == 0
         diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
         assert diagnostics["orphan_roots"] == 10
+
+    def test_dump_read_through_a_utf8_bom(self, tmp_path):
+        entries = [Entry(f"e{i}", "solo", "text", 1000000 + i,
+                         None if i == 0 else "e0") for i in range(3)]
+        dump = tmp_path / "synthetic.jsonl"
+        dump.write_bytes(b"\xef\xbb\xbf" + entries_to_jsonl(entries).encode("utf-8"))
+        config = write_config(tmp_path)
+        assert run("ingest", config) == 0
+        diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
+        assert diagnostics["entries"] == 3 and diagnostics["malformed_records"] == 0
 
     def test_repairs_surface_in_diagnostics(self, tmp_path):
         entries = [
@@ -718,8 +729,19 @@ def test_invalid_synth_value_is_config_error(tmp_path, capsys):
     ({"random_forest": {"n_trees": ["int", 0, 5]}}, "n_trees must be at least 1, got 0"),
     ({"logistic_regression": {"l2": ["choice", [1.0, -5.0]]}},
      "l2 must be finite and non-negative, got -5.0"),
+    # Values of the wrong type: each crashed evaluate late or ran with a changed value.
+    ({"random_forest": {"n_trees": ["choice", [2.5]]}}, "n_trees must be an integer, got 2.5"),
+    ({"knn": {"k": ["choice", [2.5]]}}, "k must be an integer, got 2.5"),
+    ({"random_forest": {"n_trees": ["choice", [True]]}}, "n_trees must be an integer, got True"),
+    ({"random_forest": {"max_depth": ["choice", [2.5]]}}, "max_depth must be an integer, got 2.5"),
+    ({"knn": {"k": ["int", 1.5, 3]}}, "int range ends for 'k' must be integers"),
+    ({"gaussian_nb": {"var_smoothing": ["choice", [-1]]}},
+     "var_smoothing must be finite and positive, got -1"),
+    ({"gaussian_nb": {"var_smoothing": ["choice", ["x"]]}},
+     "var_smoothing must be finite and positive, got 'x'"),
 ], ids=["unknown-kind", "unknown-name", "unknown-family", "bad-choice", "bad-range-end",
-        "rf-no-trees", "lr-negative-l2"])
+        "rf-no-trees", "lr-negative-l2", "rf-float-trees", "knn-float-k", "rf-bool-trees",
+        "rf-float-depth", "knn-float-range-end", "nb-negative-smoothing", "nb-string-smoothing"])
 def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, message):
     tmp_path, config = pipeline_dir
     for command in ("ingest", "label", "features"):
@@ -746,7 +768,10 @@ def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, mess
     "features.sets=5", "learning.group_by_user=False", "labeler.distinct_hashtags=no",
     "learning.per_transition=1", "synth.n_users=2.5", "synth.n_users=true",
     "synth.stance_vocab_size=0", "synth.common_vocab_size=0", "synth.period_seconds=0",
-    "synth.start_time=-5.5", "synth.stance_word_prob=2",
+    "synth.start_time=-5.5", "synth.stance_word_prob=2", 'learnig={"outer_k": 3}',
+    'learning.families={"gaussian_nb": 1}', 'features.sets="FS1"', 'synth.participation="x"',
+    "synth.stance_vocab_size=362", "synth.common_vocab_size=400",
+    'learning.spaces={"random_forest": {"n_trees": ["choice", [2.5]]}}',
 ])
 def test_out_of_range_value_is_config_error_at_load(tmp_path, capsys, override):
     config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
@@ -755,6 +780,66 @@ def test_out_of_range_value_is_config_error_at_load(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# Any JSON value, nested ones included, at any key path of the README config.
+_NUMBERS = st.integers() | st.sampled_from([10**400, -(2**63), 2**64]) | st.floats()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=8)
+    | st.sampled_from(["choice", "int", "loguniform", "FS1", "knn", "random_forest", "sqrt"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+# Search-space dimensions: a kind, then any arguments, numbers most often.
+_DIMENSIONS = st.builds(lambda kind, args: [kind, *args],
+                        st.sampled_from(["choice", "int", "loguniform"]),
+                        st.lists(_NUMBERS | st.lists(_NUMBERS, max_size=3) | _JSON_VALUES,
+                                 max_size=3))
+
+
+def _key_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _key_paths(inner, path + (key,))
+
+
+_README_CONFIG = {**BASE_CONFIG, "input": "in.jsonl", "output_dir": "out"}
+_KEY_PATHS = [*_key_paths(_README_CONFIG), ("learnig",), ("labeler", "alpah"),
+              *(("learning", "spaces", family, name) for family, name in (
+                  ("knn", "k"), ("random_forest", "n_trees"), ("random_forest", "max_depth"),
+                  ("random_forest", "max_features"), ("gradient_boosting", "learning_rate"),
+                  ("logistic_regression", "l2"), ("gaussian_nb", "var_smoothing")))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_KEY_PATHS), _JSON_VALUES | _DIMENSIONS)
+@example(("learning", "spaces", "knn", "k"), ["loguniform", 1, 10**400])  # exp overflows
+@example(("learning", "spaces", "logistic_regression", "l2"), ["choice", [10**400]])
+@example(("learning", "spaces", "knn", "k"), ["choice", []])
+@example(("learning", "spaces", "knn"), [])
+def test_any_json_value_anywhere_loads_or_is_config_error(path, value):
+    raw = json.loads(json.dumps(_README_CONFIG))
+    if not path:
+        raw = value
+    else:
+        target = raw
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = value
+    try:
+        config = PipelineConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(config, PipelineConfig)
+
+
+def test_config_read_through_a_utf8_bom(tmp_path):
+    config = write_config(tmp_path)
+    plain = PipelineConfig.from_file(config)
+    config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert PipelineConfig.from_file(config) == plain
+    assert run("synth", config) == 0
 
 
 def test_undecodable_config_is_config_error(tmp_path, capsys):

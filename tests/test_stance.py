@@ -49,6 +49,12 @@ class TestLexicon:
         assert lex.pro == {"out", "leaveeu"}
         assert lex.against == {"remain"}
 
+    def test_from_file_through_a_utf8_bom(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("\ufeff[pro]\nleaveeu\n[against]\nremain\n", encoding="utf-8")
+        lex = HashtagLexicon.from_file(path)
+        assert lex.pro == {"leaveeu"} and lex.against == {"remain"}
+
 
 class TestLeaveScore:
     def test_difference_of_occurrences(self):

@@ -31,6 +31,9 @@ def test_invalid_transition_strength_rejected():
     ({"stance_vocab_size": -1, "stance_word_prob": 0.0}, "stance_vocab_size must be at least 0"),
     ({"common_vocab_size": 0}, "common_vocab_size must be at least 1"),
     ({"common_vocab_size": -1, "stance_word_prob": 1.0}, "common_vocab_size must be at least 0"),
+    # `_word` spells 361 distinct words; a larger vocabulary would repeat them.
+    ({"stance_vocab_size": 362}, "stance_vocab_size must be at least 1 and at most 361"),
+    ({"common_vocab_size": 400}, "common_vocab_size must be at least 1 and at most 361"),
 ])
 def test_out_of_range_fields_rejected(fields, message):
     with pytest.raises(ValueError, match=message.replace("[", r"\[")):
@@ -41,6 +44,7 @@ def test_out_of_range_fields_rejected(fields, message):
     {"stance_vocab_size": 0, "stance_word_prob": 0.0},
     {"common_vocab_size": 0, "stance_word_prob": 1.0},
     {"period_seconds": 1, "start_time": -500},
+    {"stance_vocab_size": 361, "common_vocab_size": 361},
 ])
 def test_range_edges_still_generate(fields):
     config = SyntheticConfig(n_users=12, n_periods=2, threads_per_period=2, **fields)

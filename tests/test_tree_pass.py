@@ -373,9 +373,20 @@ def test_knn_rejects_k_below_one():
     ("logistic_regression", {"l2": -5.0}, "l2 must be finite and non-negative"),
     ("logistic_regression", {"l2": math.inf}, "l2 must be finite and non-negative"),
     ("logistic_regression", {"l2": math.nan}, "l2 must be finite and non-negative"),
+    ("logistic_regression", {"l2": True}, "l2 must be finite and non-negative"),
+    ("random_forest", {"n_trees": 2.5}, "n_trees must be an integer, got 2.5"),
+    ("random_forest", {"n_trees": True}, "n_trees must be an integer, got True"),
+    ("random_forest", {"max_depth": 2.5}, "max_depth must be an integer, got 2.5"),
+    ("gradient_boosting", {"max_depth": True}, "max_depth must be an integer, got True"),
+    ("gradient_boosting", {"learning_rate": True}, "learning_rate must be finite and positive"),
+    ("knn", {"k": 2.5}, "k must be an integer, got 2.5"),
+    ("knn", {"k": False}, "k must be an integer, got False"),
+    *(("gaussian_nb", {"var_smoothing": value}, "var_smoothing must be finite and positive")
+      for value in (0.0, -1, math.inf, math.nan, True, "x")),
 ])
 def test_constructors_reject_invalid_hyperparameters(family, params, message):
-    # Each would otherwise fit without error and predict class 0 for every row.
+    # Each would otherwise fit and predict class 0 for every row, fit with a
+    # changed value, fail in the middle of a fit, or score NaN.
     with pytest.raises(ValueError, match=message):
         classifiers.build_classifier(family, params)
 
