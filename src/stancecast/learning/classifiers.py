@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from numbers import Integral, Real
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +40,12 @@ def _require_count(name: str, value, nullable: bool = False) -> None:
 
 def _require_finite(name: str, value, positive: bool = True) -> None:
     """A finite number, not a bool, above 0, or at least 0 unless `positive`."""
-    _require(isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-             and (value > 0 if positive else value >= 0),
+    try:
+        ok = (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+              and (value > 0 if positive else value >= 0))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    _require(ok,
              f"{name} must be finite and {'positive' if positive else 'non-negative'}, "
              f"got {value!r}")
 
@@ -122,9 +126,15 @@ class LogisticRegressionClassifier:
 
 
 class KNNClassifier:
-    """Brute-force Euclidean k-nearest neighbours with majority vote."""
+    """Brute-force Euclidean k-nearest neighbours with majority vote.
 
-    BLOCK_ROWS = 256  # distance rows selected at once; bounds the temporaries
+    A row's neighbours are the first k training rows in stable (distance,
+    training index) order. `rank` finds that order once, up to any k, and
+    `vote` reads this model's k as a prefix of it, so the k values of a
+    search share one ranking (`knn_train_predict`).
+    """
+
+    BLOCK_ROWS = 256  # distance rows ranked at once; bounds the temporaries
 
     def __init__(self, k: int = 5):
         _require_count("k", k)
@@ -140,25 +150,33 @@ class KNNClassifier:
         self.n_classes = n_classes
         return self
 
-    def predict(self, X):
-        k = min(self.k, self.X.shape[0])
+    def rank(self, X, k: int) -> np.ndarray:
+        """Row i: the first min(k, n_train) training rows in eval row i's stable order."""
+        k = min(k, self.X.shape[0])
         sq = (np.sum(X**2, axis=1)[:, None]
               + np.sum(self.X**2, axis=1)[None, :]
               - 2.0 * X @ self.X.T)
-        out = np.empty(X.shape[0], dtype=np.int64)
+        ranking = np.empty((X.shape[0], k), dtype=np.int64)
         for start in range(0, X.shape[0], self.BLOCK_ROWS):
             block = sq[start:start + self.BLOCK_ROWS]
-            # The first k of a stable sort: every distance below the k-th
-            # smallest, then the ties at it in training-index order.
+            # Only the distances at or below each row's k-th smallest can be
+            # among its first k; NaN sorts last, as in a full sort.
             kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
-            below = block < kth
-            at = block == kth
-            room = k - np.count_nonzero(below, axis=1)
-            nearest = below | (at & (np.cumsum(at, axis=1) <= room[:, None]))
-            votes = np.stack([np.count_nonzero(nearest[:, self.y == c], axis=1)
-                              for c in range(self.n_classes)], axis=1)
-            out[start:start + self.BLOCK_ROWS] = np.argmax(votes, axis=1)
-        return out
+            rows, cols = np.nonzero(~(block > kth))
+            order = np.lexsort((cols, block[rows, cols], rows))
+            starts = np.searchsorted(rows, np.arange(block.shape[0]))
+            ranking[start:start + block.shape[0]] = cols[order][starts[:, None] + np.arange(k)]
+        return ranking
+
+    def vote(self, ranking: np.ndarray) -> np.ndarray:
+        """The majority class of each row's first k ranked neighbours, the smaller on ties."""
+        labels = self.y[ranking[:, :self.k]]
+        votes = np.stack([np.count_nonzero(labels == c, axis=1)
+                          for c in range(self.n_classes)], axis=1)
+        return np.argmax(votes, axis=1)
+
+    def predict(self, X):
+        return self.vote(self.rank(X, self.k))
 
 
 class GaussianNBClassifier:
@@ -309,6 +327,8 @@ _CLASSES = {
     "gaussian_nb": GaussianNBClassifier,
 }
 FAMILIES = tuple(_CLASSES)
+# The families whose fit reads its seed; any seed gives the others the same model.
+SEEDED_FAMILIES = frozenset({"random_forest"})
 
 DEFAULT_SPACES: dict[str, dict] = {
     "logistic_regression": {"l2": ("loguniform", 1e-4, 1e2)},
@@ -357,9 +377,9 @@ def build_classifier(family: str, params: Mapping):
     return _CLASSES[family](**params)
 
 
-def train_predict(family: str, params: Mapping, X_train, y_train, X_eval,
-                  seed: int = 0, n_classes: int = 3) -> np.ndarray:
-    """Fit one configuration on the training set and predict the eval set."""
+def _fitted(family: str, params: Mapping, X_train, y_train, X_eval, seed: int,
+            n_classes: int):
+    """`train_predict`'s checks and fit, in its order: the model and the eval rows."""
     X_train = np.asarray(X_train, dtype=np.float64)
     X_eval = np.asarray(X_eval, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
@@ -367,4 +387,35 @@ def train_predict(family: str, params: Mapping, X_train, y_train, X_eval,
         raise ValueError("eval features must be finite")
     model = build_classifier(family, params)
     model.fit(X_train, y_train, n_classes, seed)
+    return model, X_eval
+
+
+def train_predict(family: str, params: Mapping, X_train, y_train, X_eval,
+                  seed: int = 0, n_classes: int = 3) -> np.ndarray:
+    """Fit one configuration on the training set and predict the eval set."""
+    model, X_eval = _fitted(family, params, X_train, y_train, X_eval, seed, n_classes)
     return model.predict(X_eval)
+
+
+def knn_train_predict(configs: Sequence[Mapping], X_train, y_train, X_eval,
+                      n_classes: int = 3) -> Iterator[np.ndarray]:
+    """`train_predict` of KNN for each configuration in turn, ranking neighbours once.
+
+    Yields what each configuration's own `train_predict` call returns; where
+    one would raise, raises its error after yielding the configurations
+    before it. The ranking is taken for the largest k of those.
+    """
+    models, error = [], None
+    for params in configs:
+        try:
+            model, X_eval_rows = _fitted("knn", params, X_train, y_train, X_eval, 0, n_classes)
+        except Exception as exc:  # raised once the fits before it are yielded
+            error = exc
+            break
+        models.append(model)
+    if models:
+        ranking = models[0].rank(X_eval_rows, max(model.k for model in models))
+        for model in models:
+            yield model.vote(ranking)
+    if error is not None:
+        raise error

@@ -23,7 +23,14 @@ import numpy as np
 
 from ..features import FeatureTable
 from ..stance import STANCE_INDEX, STANCE_ORDER, StanceAssignment
-from .classifiers import DEFAULT_SPACES, FAMILIES, sample_params, train_predict
+from .classifiers import (
+    DEFAULT_SPACES,
+    FAMILIES,
+    SEEDED_FAMILIES,
+    knn_train_predict,
+    sample_params,
+    train_predict,
+)
 from .evaluation import macro_metrics, transition_f1_matrix
 
 log = logging.getLogger("stancecast.learning")
@@ -160,15 +167,29 @@ def nested_cv(
     Outer folds are stratified by label (or partitioned by user when
     `group_by_user` is set). The random search inside each outer fold is
     seeded with `seed + fold index`; the best inner macro F1 wins, first
-    configuration on ties.
+    candidate on ties.
 
-    Every fit is one task. The folds, inner splits and candidates are all
-    drawn up front; the fits then run in two passes, every fold's search
-    and then every fold's refit, on one forked worker per CPU in this
-    process's affinity mask (inline when that is one CPU, or the platform
-    cannot fork). The result is the same bytes either way, and a failing
-    fit raises the error the first failing fit in serial order raises. A
-    worker that dies ends the call with
+    The folds, inner splits and candidates are all drawn up front. Each
+    (outer fold, inner split) is one task that fits the split's distinct
+    configurations, and every candidate that drew a configuration gets its
+    score, so the result is the same bytes as fitting every (candidate,
+    split) pair in serial order. Two configurations are the same when every
+    value has the same type and `repr`. A task fits:
+
+    * nothing, when all the fold's candidates are one configuration: the
+      first candidate wins whatever the scores. Such a fold can then fail
+      only at its refit;
+    * each configuration once, for families whose fit ignores its seed;
+      a random forest fits each candidate with its own seed;
+    * for KNN, one neighbour ranking, which every k reads as a prefix.
+
+    The tasks run in two passes, every fold's search and then every fold's
+    refit, on one forked worker per CPU in this process's affinity mask
+    (inline when that is one CPU, or the platform cannot fork). The result
+    is the same bytes either way. A failing fit raises the error of the
+    first failing fit in serial order among those that run, once the folds
+    before it have refit; a fit after the earliest failure seen so far is
+    skipped. A worker that dies ends the call with
     `concurrent.futures.process.BrokenProcessPool`.
     """
     check_cv_params(outer_k, inner_k, search_iters)
@@ -192,16 +213,19 @@ def nested_cv(
     plans = [_plan_fold(instances, spec, test_list, fold_idx, inner_k, search_iters,
                         seed, group_by_user, warnings)
              for fold_idx, test_list in enumerate(outer_folds)]
-    n_fits = sum(len(plan.fits) + 1 for plan in plans)
-    workers = _fit_workers(n_fits)
+    # The serial position of the earliest failing search fit seen so far,
+    # shared with the workers.
+    cutoff = multiprocessing.Value("q", _NO_FAILURE, lock=False)
+    context = (spec.family, X, y, cutoff)
+    workers = _fit_workers(sum(len(plan.searches) for plan in plans) + len(plans))
     if workers == 1:
-        fold_results = _run_plans(plans, partial(map, partial(_fit, spec.family, X, y)),
+        fold_results = _run_plans(plans, lambda tasks: (_run_task(*context, task)
+                                                        for task in tasks),
                                   y, spec.family, search_iters)
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(spec.family, X, y)) as pool:
-            fold_results = _run_plans(plans, partial(pool.map, _fit_in_worker),
+                                 initializer=_init_worker, initargs=context) as pool:
+            fold_results = _run_plans(plans, partial(pool.map, _task_in_worker),
                                       y, spec.family, search_iters)
 
     pooled_pred = np.full(n, -1, dtype=np.int64)
@@ -222,8 +246,28 @@ def nested_cv(
         transition_missing=[STANCE_ORDER[i].value for i in missing], warnings=warnings)
 
 
+_NO_FAILURE = 2**63 - 1  # the cutoff before any search fit fails
+
+
 class _Fit(NamedTuple):
-    """One fit task: all a worker needs besides the rows it inherits."""
+    """One search fit. `position` orders fits as the serial loop runs them:
+    by outer fold, then candidate, then inner split."""
+
+    params: dict
+    seed: int
+    position: int
+
+
+class _Search(NamedTuple):
+    """One inner split's search task: its rows and the fits it runs, in serial order."""
+
+    fit_idx: np.ndarray
+    eval_idx: np.ndarray
+    fits: list[_Fit]
+
+
+class _Refit(NamedTuple):
+    """One outer fold's refit task: the chosen configuration on the whole training portion."""
 
     params: dict
     fit_idx: np.ndarray
@@ -233,18 +277,28 @@ class _Fit(NamedTuple):
 
 @dataclass(frozen=True)
 class _FoldPlan:
-    """One outer fold's split, its drawn candidates and its search fits.
+    """One outer fold's split, its drawn candidates and its search tasks.
 
-    `fits` pairs each search fit with its candidate's index, in serial
-    order: candidate-major, then inner split. Inner splits with an empty
-    validation part or a one-class fit part have no fits.
+    `searches` holds one task per inner split, in split order; inner splits
+    with an empty validation part or a one-class fit part have none.
+    Candidate i's score on a split is that task's score at `slots[i]`.
     """
 
     test_idx: np.ndarray
     train_idx: np.ndarray
     candidates: list[dict]
-    fits: list[tuple[int, _Fit]]
+    slots: list[int]
+    searches: list[_Search]
     refit_seed: int
+
+    @property
+    def n_search_fits(self) -> int:
+        return sum(len(search.fits) for search in self.searches)
+
+
+def _config_key(params: dict) -> tuple:
+    """Equal only for configurations whose every value has the same type and `repr`."""
+    return tuple((name, type(value), repr(value)) for name, value in sorted(params.items()))
 
 
 def _plan_fold(instances: LabeledRows, spec: ClassifierSpec, test_list: list[int],
@@ -290,46 +344,62 @@ def _plan_fold(instances: LabeledRows, spec: ClassifierSpec, test_list: list[int
             continue
         splits.append((inner_i, fit_idx, val_idx))
     candidates = [sample_params(spec.space, search_rng) for _ in range(search_iters)]
-    fits = [(iteration, _Fit(params, fit_idx, val_idx,
-                             _candidate_seed(seed, fold_idx, iteration * inner_k + inner_i)))
-            for iteration, params in enumerate(candidates)
-            for inner_i, fit_idx, val_idx in splits]
+    keys = [_config_key(params) for params in candidates]
+    if len(set(keys)) == 1:
+        splits = []  # the first candidate wins whatever the scores
+    elif spec.family in SEEDED_FAMILIES:
+        keys = list(range(search_iters))
+    first_draw: dict = {}
+    for c, key in enumerate(keys):
+        first_draw.setdefault(key, c)
+    slot_of = {key: slot for slot, key in enumerate(first_draw)}
+    slots = [slot_of[key] for key in keys]
+    searches = [_Search(fit_idx, val_idx,
+                        [_Fit(candidates[c],
+                              _candidate_seed(seed, fold_idx, c * inner_k + inner_i),
+                              (fold_idx * search_iters + c) * inner_k + inner_i)
+                         for c in first_draw.values()])
+                for inner_i, fit_idx, val_idx in splits]
     return _FoldPlan(test_idx=test_idx, train_idx=train_idx, candidates=candidates,
-                     fits=fits, refit_seed=_candidate_seed(seed, fold_idx,
-                                                           search_iters * inner_k + inner_k))
+                     slots=slots, searches=searches,
+                     refit_seed=_candidate_seed(seed, fold_idx, search_iters * inner_k + inner_k))
 
 
-def _run_plans(plans: list[_FoldPlan], run: Callable[[Iterable[_Fit]], Iterator[np.ndarray]],
+def _run_plans(plans: list[_FoldPlan], run: Callable[[Iterable], Iterator],
                y: np.ndarray, family: str,
                search_iters: int) -> list[tuple[FoldResult, np.ndarray]]:
-    """Run every fold's search fits, then every fold's refit; return (result, preds) per fold.
+    """Run every fold's search tasks, then every fold's refit; return (result, preds) per fold.
 
-    `run(tasks)` yields each task's predictions in task order and raises the
-    error of the first task that fails, cancelling those still pending. When
-    a search fit fails, the folds before it still refit, and the first
-    failing refit's error is raised if there is one, else the search fit's:
-    the error the serial loop hits first.
+    `run(tasks)` yields each task's outcome in task order. When a search fit
+    fails, the pending search tasks are cancelled, the folds before it still
+    refit, and the first failing refit's error is raised if there is one,
+    else the search fit's: the error the serial loop hits first.
     """
     started = time.perf_counter()
-    n_fits = sum(len(plan.fits) + 1 for plan in plans)
-    outcomes = run(fit for plan in plans for _, fit in plan.fits)
-    refits: list[_Fit] = []
+    n_fits = sum(plan.n_search_fits + 1 for plan in plans)  # the fits dispatched
+    outcomes = run(search for plan in plans for search in plan.searches)
+    refits: list[_Refit] = []
     fits_done = 0
     search_error: Optional[Exception] = None
     try:
         for plan in plans:
+            split_scores, failures = [], []
+            for search in plan.searches:
+                scores, failure = next(outcomes)
+                split_scores.append(scores)
+                if failure is not None:
+                    failures.append(failure)
+            if failures:
+                raise min(failures, key=lambda failure: failure[0])[1]
+            fits_done += plan.n_search_fits
             # Scores stay in serial order: a float mean depends on the order of its terms.
-            by_candidate: list[list[float]] = [[] for _ in plan.candidates]
-            for iteration, fit in plan.fits:
-                by_candidate[iteration].append(
-                    macro_metrics(next(outcomes), y[fit.eval_idx])["macro_f1"])
-            fits_done += len(plan.fits)
             best_params, best_score = None, -1.0
-            for params, scores in zip(plan.candidates, by_candidate):
+            for params, slot in zip(plan.candidates, plan.slots):
+                scores = [by_config[slot] for by_config in split_scores]
                 mean_score = float(np.mean(scores)) if scores else -1.0
                 if best_params is None or mean_score > best_score:
                     best_params, best_score = params, mean_score
-            refits.append(_Fit(best_params, plan.train_idx, plan.test_idx, plan.refit_seed))
+            refits.append(_Refit(best_params, plan.train_idx, plan.test_idx, plan.refit_seed))
             elapsed = time.perf_counter() - started
             log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, "
                      "ETA %.1f s", family, len(refits), len(plans), len(refits) * search_iters,
@@ -337,17 +407,19 @@ def _run_plans(plans: list[_FoldPlan], run: Callable[[Iterable[_Fit]], Iterator[
                      elapsed / max(fits_done, 1) * (n_fits - fits_done))
     except Exception as exc:  # a fit's error, raised once the folds before it refit
         search_error = exc
-    results = [(FoldResult(fold=fold, params=fit.params,
-                           metrics=macro_metrics(preds, y[fit.eval_idx]),
-                           n_test=int(fit.eval_idx.size)), preds)
-               for fold, (fit, preds) in enumerate(zip(refits, run(refits)))]
+    finally:
+        outcomes.close()  # cancels the search tasks still pending
+    results = [(FoldResult(fold=fold, params=refit.params,
+                           metrics=macro_metrics(preds, y[refit.eval_idx]),
+                           n_test=int(refit.eval_idx.size)), preds)
+               for fold, (refit, preds) in enumerate(zip(refits, run(refits)))]
     if search_error is not None:
         raise search_error
     return results
 
 
-def _fit_workers(n_fits: int) -> int:
-    """Worker processes for `n_fits` fits: one per CPU in the affinity mask.
+def _fit_workers(n_tasks: int) -> int:
+    """Worker processes for `n_tasks` tasks: one per CPU in the affinity mask.
 
     1 means run inline, as on a platform without `sched_getaffinity` or
     `fork`.
@@ -355,25 +427,50 @@ def _fit_workers(n_fits: int) -> int:
     if not hasattr(os, "sched_getaffinity") or \
             "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return min(len(os.sched_getaffinity(0)), n_fits)
+    return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _fit(family: str, X: np.ndarray, y: np.ndarray, task: _Fit) -> np.ndarray:
-    return train_predict(family, task.params, X[task.fit_idx], y[task.fit_idx],
-                         X[task.eval_idx], seed=task.seed)
+def _run_task(family: str, X: np.ndarray, y: np.ndarray, cutoff, task):
+    """Run one task: a refit returns its predictions, a search (scores, failure).
+
+    A search scores its fits in order. It stops before a fit placed after
+    `cutoff.value`, whose outcome cannot change the result, or at the first
+    fit that fails: then `failure` is (that fit's position, its error), and
+    the cutoff drops to that position. Otherwise `failure` is None.
+    """
+    if isinstance(task, _Refit):
+        return train_predict(family, task.params, X[task.fit_idx], y[task.fit_idx],
+                             X[task.eval_idx], seed=task.seed)
+    rows = X[task.fit_idx], y[task.fit_idx], X[task.eval_idx]
+    if family == "knn":
+        predictions = knn_train_predict([fit.params for fit in task.fits], *rows)
+    else:
+        predictions = (train_predict(family, fit.params, *rows, seed=fit.seed)
+                       for fit in task.fits)
+    eval_y = y[task.eval_idx]
+    scores: list[float] = []
+    for fit in task.fits:
+        if fit.position > cutoff.value:
+            break
+        try:
+            scores.append(macro_metrics(next(predictions), eval_y)["macro_f1"])
+        except Exception as exc:  # returned, so that the parent can order failures
+            cutoff.value = min(cutoff.value, fit.position)
+            return scores, (fit.position, exc)
+    return scores, None
 
 
 # Set in each forked worker by `_init_worker`; the parent never sets it.
-_worker_rows: tuple = ()
+_worker_context: tuple = ()
 
 
-def _init_worker(family: str, X: np.ndarray, y: np.ndarray) -> None:
-    global _worker_rows
-    _worker_rows = (family, X, y)
+def _init_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
 
 
-def _fit_in_worker(task: _Fit) -> np.ndarray:
-    return _fit(*_worker_rows, task)
+def _task_in_worker(task):
+    return _run_task(*_worker_context, task)
 
 
 def _check_partition(folds: Sequence[Sequence[int]], n: int) -> None:

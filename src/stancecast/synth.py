@@ -14,11 +14,10 @@ Output is deterministic for a fixed seed, byte for byte.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, fields
 
 from .corpus import Entry, TimePartition
-from .stance import STANCE_ORDER, Stance
+from .stance import STANCE_INDEX, STANCE_ORDER, Stance
 
 # Letters safe under the token pipeline: no vowels (so no suffix rule of
 # the stemmer fires) and no trailing-s collisions.
@@ -118,13 +117,15 @@ def generate_synthetic_corpus(config: SyntheticConfig, seed: int) -> SyntheticCo
             truth[(user, period)] = current[user]
 
         active = [u for u in users if rng.random() < config.participation]
-        engaged_entry_stances: dict[str, list[Stance]] = {}
+        # Per member, the entries of the threads they engaged in, counted in
+        # STANCE_ORDER slots.
+        exposures: dict[str, list[int]] = {}
         if active:
             threads = _deal_threads(active, current, config, rng)
             period_start = cutoffs[period]
             tick = 0
             for members in threads:
-                thread_entry_stances: list[Stance] = []
+                thread_tally = [0, 0, 0]
                 thread_ids: list[str] = []
                 for round_no in range(config.entries_per_user):
                     for member in members:
@@ -149,14 +150,16 @@ def generate_synthetic_corpus(config: SyntheticConfig, seed: int) -> SyntheticCo
                         entry_serial += 1
                         entries.append(entry)
                         thread_ids.append(entry.id)
-                        thread_entry_stances.append(stance)
+                        thread_tally[STANCE_INDEX[stance]] += 1
                 for member in members:
-                    engaged_entry_stances.setdefault(member, []).extend(thread_entry_stances)
+                    tally = exposures.setdefault(member, [0, 0, 0])
+                    for slot, count in enumerate(thread_tally):
+                        tally[slot] += count
 
         if period + 1 < config.n_periods:
             for user in users:
                 if rng.random() < config.transition_strength:
-                    exposure = engaged_entry_stances.get(user)
+                    exposure = exposures.get(user)
                     if exposure:
                         current[user] = _majority(exposure, current[user])
                 else:
@@ -195,10 +198,10 @@ def _deal_threads(
     return threads
 
 
-def _majority(exposure: list[Stance], fallback: Stance) -> Stance:
-    counts = Counter(exposure)
-    top = max(counts.values())
-    leaders = [s for s in STANCE_ORDER if counts.get(s, 0) == top]
+def _majority(tally: list[int], fallback: Stance) -> Stance:
+    """The most frequent stance of a non-empty `tally` (counts in STANCE_ORDER slots)."""
+    top = max(tally)
+    leaders = [s for s, count in zip(STANCE_ORDER, tally) if count == top]
     if len(leaders) == 1:
         return leaders[0]
     return fallback if fallback in leaders else leaders[0]

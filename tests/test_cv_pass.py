@@ -1,14 +1,17 @@
 """Nested CV on a pool of forked workers against the serial loop.
 
 `nested_cv` draws every fold's inner splits and candidates first, runs each
-fit as one task on one worker per CPU, and merges scores, predictions and
-warnings in serial order. The reference below is the earlier code: one loop
+inner split's search as one task on one worker per CPU, fitting each distinct
+configuration once, and merges scores, predictions and warnings in serial
+order. The reference below is the earlier code: one loop
 over outer folds, candidates and inner splits, fitting one after another.
 Every comparison is exact: the same `to_dict()` bytes, or the same error.
 """
 
+import hashlib
 import json
 import logging
+from collections import Counter
 import random
 import time
 
@@ -264,3 +267,154 @@ def test_fold_without_search_fits_logs_progress(caplog):
         ["nested_cv gaussian_nb: fold 1/2", "candidates 2/4"],
         ["nested_cv gaussian_nb: fold 2/2", "candidates 4/4"],
     ]
+
+
+class CallLog:
+    """Appends one line per call to a file, so that forked workers' calls count too."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def record(self, *fields):
+        with open(self.path, "a") as f:
+            f.write("\t".join(str(field) for field in fields) + "\n")
+
+    def lines(self):
+        return [line.split("\t") for line in self.path.read_text().splitlines()] \
+            if self.path.exists() else []
+
+
+@pytest.fixture
+def calls(tmp_path, monkeypatch):
+    """Log each `train_predict` call as (seed, eval rows) and each KNN ranking task."""
+    log = CallLog(tmp_path / "calls.tsv")
+    real_fit, real_knn = cv.train_predict, cv.knn_train_predict
+
+    def train_predict(family, params, X, y, X_eval, seed=0):
+        log.record("fit", seed, hashlib.sha256(X_eval.tobytes()).hexdigest())
+        return real_fit(family, params, X, y, X_eval, seed=seed)
+
+    def knn_train_predict(configs, X, y, X_eval):
+        log.record("rank", len(configs), hashlib.sha256(X_eval.tobytes()).hexdigest())
+        return real_knn(configs, X, y, X_eval)
+
+    monkeypatch.setattr(cv, "train_predict", train_predict)
+    monkeypatch.setattr(cv, "knn_train_predict", knn_train_predict)
+    return log
+
+
+def refit_seeds(cv_seed, outer_k, inner_k, search_iters):
+    return {str(_candidate_seed(cv_seed, fold, search_iters * inner_k + inner_k))
+            for fold in range(outer_k)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("family, space", [
+    ("random_forest", {"n_trees": ("choice", [4]), "max_depth": ("int", 3, 3),
+                       "max_features": ("choice", ["sqrt"])}),
+    ("gradient_boosting", {"n_trees": ("choice", [3]), "max_depth": ("choice", [2]),
+                           "learning_rate": ("choice", [0.2])}),
+])
+def test_one_configuration_runs_only_the_refits(family, space, workers, calls, monkeypatch):
+    instances, spec = rows(10), ClassifierSpec(family, space)
+    kwargs = dict(outer_k=3, inner_k=2, search_iters=5, seed=4)
+    serial = dumps(reference_nested_cv(instances, spec, **kwargs))
+    calls.path.unlink()
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
+    assert dumps(nested_cv(instances, spec, **kwargs)) == serial
+    assert sorted(seed for _, seed, _ in calls.lines()) == sorted(refit_seeds(4, 3, 2, 5))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repeated_configurations_fit_once_per_split(workers, calls, monkeypatch):
+    instances = rows(11)
+    spec = ClassifierSpec("logistic_regression", {"l2": ("choice", [0.1, 3.0])})
+    kwargs = dict(outer_k=3, inner_k=3, search_iters=6, seed=2)
+    serial = dumps(reference_nested_cv(instances, spec, **kwargs))
+    calls.path.unlink()
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
+    assert dumps(nested_cv(instances, spec, **kwargs)) == serial
+    refits = refit_seeds(2, 3, 3, 6)
+    per_split = Counter(rows_ for _, seed, rows_ in calls.lines() if seed not in refits)
+    assert len(per_split) == 9 and max(per_split.values()) <= 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_knn_ranks_once_per_split(workers, calls, monkeypatch):
+    instances = rows(12)
+    spec = ClassifierSpec("knn", {"k": ("int", 1, 3)})
+    kwargs = dict(outer_k=3, inner_k=3, search_iters=8, seed=6)
+    serial = dumps(reference_nested_cv(instances, spec, **kwargs))
+    calls.path.unlink()
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
+    assert dumps(nested_cv(instances, spec, **kwargs)) == serial
+    lines = calls.lines()
+    rankings = Counter(rows_ for kind, _, rows_ in lines if kind == "rank")
+    assert len(rankings) == 9 and set(rankings.values()) == {1}
+    assert sorted(seed for kind, seed, _ in lines if kind == "fit") == \
+        sorted(refit_seeds(6, 3, 3, 8))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_equal_values_of_other_types_stay_apart(workers, calls, monkeypatch):
+    # 1 and 1.0 fit the same model, but each fold's params keep the JSON of
+    # the candidate that won, so they are two configurations.
+    assert len({cv._config_key({"l2": v}) for v in (1, 1.0, True, 0.0, -0.0)}) == 5
+    instances = rows(13)
+    spec = ClassifierSpec("logistic_regression", {"l2": ("choice", [1, 1.0])})
+    kwargs = dict(outer_k=3, inner_k=2, search_iters=6, seed=3)
+    serial = reference_nested_cv(instances, spec, **kwargs)
+    calls.path.unlink()
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
+    pooled = nested_cv(instances, spec, **kwargs)
+    assert dumps(pooled) == dumps(serial)
+    assert [json.dumps(f.params) for f in pooled.folds] == \
+        [json.dumps(f.params) for f in serial.folds]
+    refits = refit_seeds(3, 3, 2, 6)
+    per_split = Counter(rows_ for _, seed, rows_ in calls.lines() if seed not in refits)
+    assert len(per_split) == 6 and set(per_split.values()) == {2}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_configuration_fold_fails_at_its_refit(workers, calls, monkeypatch):
+    # The NaN row lies in fold 0's training portion. The serial loop fails at
+    # fold 0's first search fit; with one configuration there is none, and
+    # fold 0's refit raises instead.
+    instances = rows(14)
+    spec = ClassifierSpec("gradient_boosting", {"n_trees": ("choice", [3]),
+                                                "max_depth": ("choice", [2]),
+                                                "learning_rate": ("choice", [0.2])})
+    kwargs = dict(outer_k=3, inner_k=2, search_iters=4, seed=9)
+    test_0 = _stratified_folds(instances.y, 3, random.Random(9))[0][0]
+    instances.X[next(i for i in range(len(instances)) if i not in test_0), 1] = np.nan
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
+    with pytest.raises(ValueError, match="training features must be finite"):
+        nested_cv(instances, spec, **kwargs)
+    seeds = {seed for _, seed, _ in calls.lines()}
+    assert str(_candidate_seed(9, 0, 4 * 2 + 2)) in seeds
+    assert seeds <= refit_seeds(9, 3, 2, 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_earliest_failure_within_a_fold_is_candidate_major(workers, monkeypatch):
+    # Inner split 0 fails at candidate 2 and inner split 1 at candidate 1, so
+    # the serial loop raises split 1's error although split 0 comes first.
+    cv_seed, search_iters, inner_k = 5, 4, 2
+    failing = {_candidate_seed(cv_seed, 0, 2 * inner_k + 0),
+               _candidate_seed(cv_seed, 0, 1 * inner_k + 1)}
+    real = cv.train_predict
+
+    def flaky(family, params, X, y, X_eval, seed=0):
+        if seed in failing:
+            raise ValueError(f"fit with seed {seed} failed")
+        return real(family, params, X, y, X_eval, seed=seed)
+
+    monkeypatch.setattr(cv, "train_predict", flaky)
+    instances, spec = rows(15), ClassifierSpec("gaussian_nb")
+    kwargs = dict(outer_k=3, inner_k=inner_k, search_iters=search_iters, seed=cv_seed)
+    expected = f"seed {_candidate_seed(cv_seed, 0, 1 * inner_k + 1)} failed"
+    with pytest.raises(ValueError, match=expected):
+        reference_nested_cv(instances, spec, **kwargs)
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
+    with pytest.raises(ValueError, match=expected):
+        nested_cv(instances, spec, **kwargs)

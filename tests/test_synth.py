@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -61,6 +62,18 @@ def test_fixed_seed_is_byte_identical():
     b = generate_synthetic_corpus(config, seed=123)
     assert entries_to_jsonl(a.entries) == entries_to_jsonl(b.entries)
     assert truth_to_tsv(a) == truth_to_tsv(b)
+
+
+def test_chain_biased_corpus_keeps_its_bytes():
+    # The digest of the per-entry exposure lists the generator kept before it
+    # tallied each thread's stances once; the tally must pick the same
+    # majorities, ties and fallbacks included.
+    config = SyntheticConfig(n_users=60, n_periods=3, threads_per_period=3, chain_bias=0.7,
+                             participation=0.8, transition_strength=0.9)
+    corpus = generate_synthetic_corpus(config, seed=3)
+    text = entries_to_jsonl(corpus.entries) + truth_to_tsv(corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "52b34123a1e314de10440fe88c72422babf5f41c66fdd6e5de83d8d8871c6e4b"
 
 
 def test_different_seed_differs():

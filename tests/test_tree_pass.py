@@ -1,8 +1,9 @@
 """The flat-array tree and block KNN against the node-object reference.
 
 Boosting sorts each column once per fit and splits on pre-sorted column
-blocks; a forest node sorts only the columns it draws. KNN selects neighbours
-with a partition over blocks of rows.
+blocks; a forest node sorts only the columns it draws. KNN ranks neighbours
+with a partition and a sort of the distances at or below it, over blocks of
+rows, and every k votes over a prefix of one ranking.
 The reference below is the earlier code: recursive `_Node` growers that
 stable-sort every candidate column at every node, row-by-row `apply`, and a
 per-row stable argsort for KNN. Every comparison is exact.
@@ -296,6 +297,34 @@ def test_knn_matches_reference(kind, k):
     assert np.array_equal(model.predict(E), reference_knn(X, y, 3, k, E))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_ranking_serves_every_k(kind, monkeypatch):
+    X, y, E = _data(kind, seed=4)
+    E = np.vstack([E] + [X[:40]] * 6)
+    ks = [1, 2, 5, 50, 10_000]
+    rankings = []
+    real = KNNClassifier.rank
+
+    def rank(self, X_eval, k):
+        rankings.append(k)
+        return real(self, X_eval, k)
+
+    monkeypatch.setattr(KNNClassifier, "rank", rank)
+    predictions = list(classifiers.knn_train_predict([{"k": k} for k in ks], X, y, E))
+    assert rankings == [10_000]
+    for k, preds in zip(ks, predictions, strict=True):
+        assert np.array_equal(preds, reference_knn(X, y, 3, k, E))
+
+
+def test_knn_configurations_fail_in_turn():
+    X, y, E = _data("few")
+    fits = classifiers.knn_train_predict([{"k": 3}, {"k": 1}, {"k": 0}, {"k": 2}], X, y, E)
+    assert np.array_equal(next(fits), reference_knn(X, y, 3, 3, E))
+    assert np.array_equal(next(fits), reference_knn(X, y, 3, 1, E))
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        next(fits)
+
+
 def test_two_row_training_set():
     X = np.array([[0.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 1])
@@ -383,6 +412,10 @@ def test_knn_rejects_k_below_one():
     ("knn", {"k": False}, "k must be an integer, got False"),
     *(("gaussian_nb", {"var_smoothing": value}, "var_smoothing must be finite and positive")
       for value in (0.0, -1, math.inf, math.nan, True, "x")),
+    # Ints too large for a float.
+    ("logistic_regression", {"l2": 10**400}, "l2 must be finite and non-negative"),
+    ("gradient_boosting", {"learning_rate": 10**400}, "learning_rate must be finite and positive"),
+    ("gaussian_nb", {"var_smoothing": 10**400}, "var_smoothing must be finite and positive"),
 ])
 def test_constructors_reject_invalid_hyperparameters(family, params, message):
     # Each would otherwise fit and predict class 0 for every row, fit with a
