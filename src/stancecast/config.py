@@ -9,15 +9,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import random
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from .corpus import TimePartition
 from .features import SET_IDS
-from .learning.classifiers import FAMILIES, build_classifier, sample_params
-from .learning.cv import check_cv_params
+from .learning.classifiers import FAMILIES
+from .learning.cv import ClassifierSpec, check_cv_params
 from .synth import SyntheticConfig
 
 # Default period cutoffs for the Brexit subreddit case study: fifteen
@@ -81,16 +80,10 @@ class LearningParams:
         check_cv_params(self.outer_k, self.inner_k, self.search_iters)
         _check(self, "families", lambda v: all(f in FAMILIES for f in v),
                "a list of " + ", ".join(FAMILIES))
-        # One draw checks each dimension's kind and arguments, then every
-        # edge value must build the family's classifier.
         for family, space in self.spaces.items():
             try:
-                if family not in FAMILIES or not isinstance(space, dict):
-                    raise ValueError("not a classifier family mapped to an object")
-                sample_params(space, random.Random(0))
-                for params in _edge_params(space):
-                    build_classifier(family, params)
-            except (ValueError, TypeError, IndexError, OverflowError) as exc:
+                ClassifierSpec(family, space)
+            except ValueError as exc:
                 raise ValueError(f"spaces[{family!r}]: {exc}") from None
 
 
@@ -136,7 +129,7 @@ class PipelineConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         for override in overrides or []:
             _apply_override(raw, override)
@@ -200,20 +193,9 @@ def _build(template, data: Any, where: str, problems: list[str]):
         if isinstance(template, type):
             return template(**kwargs)
         return dataclasses.replace(template, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # a deep value's repr recurses
         problems.append(f"invalid {where}: {exc}")
         return None
-
-
-def _edge_params(space: dict) -> Iterator[dict]:
-    """One candidate per edge value: every `choice` value and both ends of
-    each `int`/`loguniform` range, the other dimensions at their first edge."""
-    edges = {name: list(args[0]) if kind == "choice" else list(args)
-             for name, (kind, *args) in space.items()}
-    first = {name: values[0] for name, values in edges.items()}
-    for name, values in edges.items():
-        for value in values:
-            yield {**first, name: value}
 
 
 def _apply_override(raw: dict, override: str) -> None:
@@ -225,6 +207,8 @@ def _apply_override(raw: dict, override: str) -> None:
         value = json.loads(value_text)
     except json.JSONDecodeError:
         value = value_text
+    except RecursionError as exc:
+        raise ConfigError(f"override of {dotted!r} is nested too deeply: {exc}") from None
     *path, last = dotted.split(".")
     target = raw
     for part in path:  # a non-object, once met, stays the target

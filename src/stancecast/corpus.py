@@ -80,11 +80,12 @@ def parse_entries(lines: Iterable[str]) -> ParseResult:
     Each record needs `id`, `author`, `created_utc` (integer seconds that
     `datetime` can represent) and optionally `body` (or `text`) and
     `parent_id`. Malformed records are counted and skipped; a duplicate id
-    keeps the first occurrence. A `null` author is an explicit deletion
-    marker and maps to the sentinel user, while a missing author field, an
-    author with a tab or a line break, or an author that does not encode to
-    UTF-8 (a lone surrogate such as JSON `"\\ud800"`) makes the record
-    malformed.
+    keeps the first occurrence. A line that is not JSON, nests too deeply, or
+    holds an undecodable byte is malformed. A `null` author is an explicit
+    deletion marker and maps to the sentinel user, while a missing author
+    field, an author with a tab or a line break, or an author that does not
+    encode to UTF-8 (a lone surrogate such as JSON `"\\ud800"`) makes the
+    record malformed.
     """
     entries: list[Entry] = []
     seen: set[str] = set()
@@ -96,7 +97,8 @@ def parse_entries(lines: Iterable[str]) -> ParseResult:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
+            line.encode("utf-8")  # `errors="surrogateescape"` reads a bad byte as a surrogate
+        except (json.JSONDecodeError, RecursionError, UnicodeEncodeError):
             malformed += 1
             continue
         if not isinstance(record, dict):

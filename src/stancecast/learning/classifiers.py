@@ -377,6 +377,25 @@ def build_classifier(family: str, params: Mapping):
     return _CLASSES[family](**params)
 
 
+def check_space(family: str, space: Mapping[str, Sequence]) -> None:
+    """Raise `ValueError` unless every configuration `space` can draw builds `family`'s classifier.
+
+    After one seeded draw, these must build, the other dimensions at their first edge:
+    every `choice` value, and both ends of each `int` and, as floats, `loguniform` range.
+    """
+    try:
+        sample_params(space, random.Random(0))
+        edges = {name: list(args[0]) if kind == "choice"
+                 else [float(end) for end in args] if kind == "loguniform" else list(args)
+                 for name, (kind, *args) in space.items()}
+        first = {name: values[0] for name, values in edges.items()}
+        for name, values in edges.items():
+            for value in values:
+                build_classifier(family, {**first, name: value})
+    except (TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _fitted(family: str, params: Mapping, X_train, y_train, X_eval, seed: int,
             n_classes: int):
     """`train_predict`'s checks and fit, in its order: the model and the eval rows."""
@@ -401,21 +420,11 @@ def knn_train_predict(configs: Sequence[Mapping], X_train, y_train, X_eval,
                       n_classes: int = 3) -> Iterator[np.ndarray]:
     """`train_predict` of KNN for each configuration in turn, ranking neighbours once.
 
-    Yields what each configuration's own `train_predict` call returns; where
-    one would raise, raises its error after yielding the configurations
-    before it. The ranking is taken for the largest k of those.
+    Every configuration is built first, so a bad one raises before any prediction. One
+    fit ranks the neighbours for the largest k, and each k votes over a prefix of that.
     """
-    models, error = [], None
-    for params in configs:
-        try:
-            model, X_eval_rows = _fitted("knn", params, X_train, y_train, X_eval, 0, n_classes)
-        except Exception as exc:  # raised once the fits before it are yielded
-            error = exc
-            break
-        models.append(model)
-    if models:
-        ranking = models[0].rank(X_eval_rows, max(model.k for model in models))
-        for model in models:
-            yield model.vote(ranking)
-    if error is not None:
-        raise error
+    ks = [build_classifier("knn", params).k for params in configs]
+    model, X_eval = _fitted("knn", {"k": max(ks)}, X_train, y_train, X_eval, 0, n_classes)
+    ranking = model.rank(X_eval, model.k)
+    for k in ks:
+        yield model.vote(ranking[:, :k])

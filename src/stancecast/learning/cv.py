@@ -27,6 +27,7 @@ from .classifiers import (
     DEFAULT_SPACES,
     FAMILIES,
     SEEDED_FAMILIES,
+    check_space,
     knn_train_predict,
     sample_params,
     train_predict,
@@ -64,16 +65,19 @@ class LabeledRows:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """A family and its search space: a dict that `check_space` passes, `{}` for the default."""
+
     family: str
     space: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown classifier family {self.family!r}")
+        if not isinstance(self.space, dict):
+            raise ValueError(f"hyperparameter space must be a dict, got {self.space!r}")
         if not self.space:
             object.__setattr__(self, "space", dict(DEFAULT_SPACES[self.family]))
-        if not self.space:
-            raise ValueError("hyperparameter space must be non-empty")
+        check_space(self.family, self.space)
 
 
 def make_instances(table: FeatureTable, stances: StanceAssignment) -> LabeledRows:

@@ -206,7 +206,7 @@ def _ingest_key(config: PipelineConfig) -> dict:
 
 def _build_ingest(config: PipelineConfig) -> Files:
     try:
-        with open(config.input, encoding="utf-8-sig") as handle:
+        with open(config.input, encoding="utf-8-sig", errors="surrogateescape") as handle:
             parsed = parse_entries(handle)
     except OSError as exc:
         raise PipelineError(f"cannot read input {config.input}: {exc}") from exc

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import signal
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from stancecast.cli import _COMMANDS, main
 from stancecast.config import ConfigError, PipelineConfig
 from stancecast.corpus import Entry, entries_to_jsonl
+from stancecast.learning import ClassifierSpec
 from stancecast.pipeline import STAGES, stage_key
 
 BASE_CONFIG = {
@@ -107,6 +109,33 @@ class TestStages:
         assert run("ingest", config) == 0
         diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
         assert diagnostics["entries"] == 3 and diagnostics["malformed_records"] == 0
+
+    def test_undecodable_line_is_malformed(self, tmp_path):
+        # A BOM opens the dump and every line ends in CRLF. Line 11 holds two
+        # bytes that are not UTF-8; line 16 starts with a second BOM.
+        entries = [Entry(f"e{i}", f"u{i % 3}", "text", 1000000 + i,
+                         None if i == 0 else "e0") for i in range(21)]
+        lines = [line.encode("utf-8") for line in entries_to_jsonl(entries).splitlines()]
+        lines[10] = lines[10].replace(b'"body":"text"', b'"body":"te\xff\xfext"')
+        lines[15] = b"\xef\xbb\xbf" + lines[15]
+        dump = tmp_path / "synthetic.jsonl"
+        dump.write_bytes(b"\xef\xbb\xbf" + b"".join(line + b"\r\n" for line in lines))
+        assert run("ingest", write_config(tmp_path)) == 0
+        diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
+        assert diagnostics["entries"] == 19 and diagnostics["malformed_records"] == 2
+        ids = [json.loads(line)["id"] for line in (tmp_path / "corpus.jsonl").open()]
+        assert sorted(ids) == sorted(f"e{i}" for i in range(21) if i not in (10, 15))
+
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        entries = [Entry(f"e{i}", "solo", "text", 1000000 + i,
+                         None if i == 0 else "e0") for i in range(3)]
+        deep = "[" * 100_000
+        dump = tmp_path / "synthetic.jsonl"
+        dump.write_text(f"{deep}\n{entries_to_jsonl(entries)}{{\"id\": {deep}}}\n",
+                        encoding="utf-8")
+        assert run("ingest", write_config(tmp_path)) == 0
+        diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
+        assert diagnostics["entries"] == 3 and diagnostics["malformed_records"] == 2
 
     def test_repairs_surface_in_diagnostics(self, tmp_path):
         entries = [
@@ -717,7 +746,8 @@ def test_invalid_synth_value_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "synthetic.jsonl").exists()
 
 
-@pytest.mark.parametrize("spaces, message", [
+# (spaces, message): each space is refused at load, and by `ClassifierSpec`.
+INVALID_SPACES = [
     ({"gaussian_nb": {"var_smoothing": ["uniform", 1e-10, 1e-6]}},
      "unknown space kind 'uniform'"),
     ({"random_forest": {"n_tree": ["int", 3, 3]}}, "'n_tree'"),
@@ -739,9 +769,13 @@ def test_invalid_synth_value_is_config_error(tmp_path, capsys):
      "var_smoothing must be finite and positive, got -1"),
     ({"gaussian_nb": {"var_smoothing": ["choice", ["x"]]}},
      "var_smoothing must be finite and positive, got 'x'"),
-], ids=["unknown-kind", "unknown-name", "unknown-family", "bad-choice", "bad-range-end",
-        "rf-no-trees", "lr-negative-l2", "rf-float-trees", "knn-float-k", "rf-bool-trees",
-        "rf-float-depth", "knn-float-range-end", "nb-negative-smoothing", "nb-string-smoothing"])
+]
+
+
+@pytest.mark.parametrize("spaces, message", INVALID_SPACES, ids=[
+    "unknown-kind", "unknown-name", "unknown-family", "bad-choice", "bad-range-end",
+    "rf-no-trees", "lr-negative-l2", "rf-float-trees", "knn-float-k", "rf-bool-trees",
+    "rf-float-depth", "knn-float-range-end", "nb-negative-smoothing", "nb-string-smoothing"])
 def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, message):
     tmp_path, config = pipeline_dir
     for command in ("ingest", "label", "features"):
@@ -757,6 +791,44 @@ def test_invalid_search_space_is_config_error(pipeline_dir, capsys, spaces, mess
     assert message in err
     assert sorted(path.name for path in tmp_path.iterdir()) == names
     assert _stats(tmp_path, names) == before
+
+
+def test_classifier_spec_refuses_every_invalid_space():
+    for spaces, message in INVALID_SPACES:
+        for family, space in spaces.items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ClassifierSpec(family, space)
+
+
+# A loguniform dimension draws floats, which no integer hyperparameter takes.
+@pytest.mark.parametrize("family, name", [
+    ("knn", "k"), ("random_forest", "n_trees"), ("gradient_boosting", "max_depth"),
+])
+def test_loguniform_integer_dimension_is_refused(tmp_path, capsys, family, name):
+    space = {name: ["loguniform", 1, 50]}
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.0"):
+        ClassifierSpec(family, space)
+    config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    capsys.readouterr()
+    assert run("synth", config, "--set", f"learning.spaces={json.dumps({family: space})}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid 'learning' section: spaces['{family}']: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_deeply_nested_config_is_config_error(tmp_path, capsys, where):
+    deep = "[" * 100_000
+    config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    if where == "file":
+        config.write_text(deep, encoding="utf-8")
+    overrides = ("--set", f"learning.spaces={deep}") if where == "override" else ()
+    capsys.readouterr()
+    assert run("synth", config, *overrides) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override", [

@@ -399,3 +399,8 @@ class TestNestedCV:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             ClassifierSpec("svm")
+
+    @pytest.mark.parametrize("space", [[], [["k", ["int", 1, 3]]], "k"])
+    def test_space_that_is_not_a_dict_rejected(self, space):
+        with pytest.raises(ValueError, match="hyperparameter space must be a dict"):
+            ClassifierSpec("knn", space)
