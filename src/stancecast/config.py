@@ -17,6 +17,7 @@ from .corpus import TimePartition
 from .features import SET_IDS
 from .learning.classifiers import FAMILIES
 from .learning.cv import ClassifierSpec, check_cv_params
+from .stance import HashtagLexicon
 from .synth import SyntheticConfig
 
 # Default period cutoffs for the Brexit subreddit case study: fifteen
@@ -62,8 +63,8 @@ class FeatureParams:
 
     def __post_init__(self) -> None:
         _check(self, "vocab_size", lambda v: v >= 0, "an integer of at least 0")
-        _check(self, "sets", lambda v: all(s in SET_IDS for s in v),
-               "a list of " + ", ".join(SET_IDS))
+        _check(self, "sets", lambda v: _distinct_names(v, SET_IDS),
+               "a non-empty list of distinct " + ", ".join(SET_IDS))
 
 
 @dataclass
@@ -78,13 +79,18 @@ class LearningParams:
 
     def __post_init__(self) -> None:
         check_cv_params(self.outer_k, self.inner_k, self.search_iters)
-        _check(self, "families", lambda v: all(f in FAMILIES for f in v),
-               "a list of " + ", ".join(FAMILIES))
+        _check(self, "families", lambda v: _distinct_names(v, FAMILIES),
+               "a non-empty list of distinct " + ", ".join(FAMILIES))
         for family, space in self.spaces.items():
             try:
                 ClassifierSpec(family, space)
             except ValueError as exc:
                 raise ValueError(f"spaces[{family!r}]: {exc}") from None
+
+
+def _distinct_names(values: tuple, names: tuple[str, ...]) -> bool:
+    """`values` is non-empty, each one of `names`, and none repeated."""
+    return all(v in names for v in values) and 0 < len(set(values)) == len(values)
 
 
 def _check(params, name: str, ok: Callable[[Any], bool], wanted: str) -> None:
@@ -147,9 +153,14 @@ class PipelineConfig:
         if not self.input.exists():
             raise ConfigError(f"input path does not exist: {self.input}")
 
-    def require_lexicon(self) -> None:
-        if self.lexicon is not None and not self.lexicon.exists():
-            raise ConfigError(f"lexicon path does not exist: {self.lexicon}")
+    def load_lexicon(self) -> HashtagLexicon:
+        """The configured hashtag lexicon, or the default; one that cannot be read is a config error."""
+        if self.lexicon is None:
+            return HashtagLexicon.default()
+        try:
+            return HashtagLexicon.from_file(self.lexicon)
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise ConfigError(f"lexicon {self.lexicon}: {exc}") from None
 
 
 # The JSON type a field takes, by the type of its default: (default type,

@@ -1,9 +1,9 @@
 """The five classifier families, implemented on numpy arrays.
 
-All fits validate their inputs the same way (finite features, at least
-two classes present) and are deterministic given the seed handed to
-`fit`. Class labels are integer indices; argmax tie-breaks always prefer
-the smaller class index.
+All fits validate their inputs the same way (finite features, labels
+in [0, n_classes), at least two classes present) and are deterministic
+given the seed handed to `fit`. Class labels are integer indices; argmax
+tie-breaks always prefer the smaller class index.
 """
 
 from __future__ import annotations
@@ -50,11 +50,14 @@ def _require_finite(name: str, value, positive: bool = True) -> None:
              f"got {value!r}")
 
 
-def _validate_training(X: np.ndarray, y: np.ndarray) -> None:
+def _validate_training(X: np.ndarray, y: np.ndarray, n_classes: int) -> None:
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a non-empty 2-d array")
     if not np.all(np.isfinite(X)):
         raise ValueError("training features must be finite")
+    outside = y[(y < 0) | (y >= n_classes)]
+    if outside.size:
+        raise ValueError(f"training labels must lie in [0, {n_classes}), got {outside[0]}")
     if np.unique(y).size < 2:
         raise ValueError("training set must contain at least two classes")
 
@@ -93,7 +96,7 @@ class LogisticRegressionClassifier:
         return loss, grad
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y)
+        _validate_training(X, y, n_classes)
         self.mean = X.mean(axis=0)
         self.scale = X.std(axis=0)
         self.scale[self.scale == 0.0] = 1.0
@@ -144,7 +147,7 @@ class KNNClassifier:
         self.n_classes = 0
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y)
+        _validate_training(X, y, n_classes)
         self.X = X
         self.y = y
         self.n_classes = n_classes
@@ -190,7 +193,7 @@ class GaussianNBClassifier:
         self.variances = None
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y)
+        _validate_training(X, y, n_classes)
         n, d = X.shape
         self.means = np.zeros((n_classes, d))
         self.variances = np.ones((n_classes, d))
@@ -242,7 +245,7 @@ class RandomForestClassifier:
         return d
 
     def fit(self, X, y, n_classes, seed=0):
-        _validate_training(X, y)
+        _validate_training(X, y, n_classes)
         self.n_classes = n_classes
         rng = np.random.default_rng(seed)
         size = self._subset_size(X.shape[1])
@@ -279,7 +282,7 @@ class GradientBoostingClassifier:
         self.n_classes = 0
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y)
+        _validate_training(X, y, n_classes)
         self.n_classes = n_classes
         n = X.shape[0]
         targets = np.zeros((n_classes, n))
@@ -396,15 +399,27 @@ def check_space(family: str, space: Mapping[str, Sequence]) -> None:
         raise ValueError(str(exc)) from None
 
 
+def check_rows(X_train, y_train, X_eval, n_classes: int = 3) -> None:
+    """Raise `ValueError` for rows that `train_predict` refuses, whatever the configuration.
+
+    The eval rows must be finite; the training rows a finite, non-empty 2-d
+    array whose labels lie in [0, n_classes) and hold at least two classes.
+    """
+    X_eval = np.asarray(X_eval, dtype=np.float64)
+    if X_eval.size and not np.all(np.isfinite(X_eval)):
+        raise ValueError("eval features must be finite")
+    _validate_training(np.asarray(X_train, dtype=np.float64),
+                       np.asarray(y_train, dtype=np.int64), n_classes)
+
+
 def _fitted(family: str, params: Mapping, X_train, y_train, X_eval, seed: int,
             n_classes: int):
-    """`train_predict`'s checks and fit, in its order: the model and the eval rows."""
+    """`train_predict`'s checks and fit, configuration then rows: the model and the eval rows."""
+    model = build_classifier(family, params)
     X_train = np.asarray(X_train, dtype=np.float64)
     X_eval = np.asarray(X_eval, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
-    if X_eval.size and not np.all(np.isfinite(X_eval)):
-        raise ValueError("eval features must be finite")
-    model = build_classifier(family, params)
+    check_rows(X_train, y_train, X_eval, n_classes)
     model.fit(X_train, y_train, n_classes, seed)
     return model, X_eval
 

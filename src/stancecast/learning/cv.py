@@ -27,6 +27,7 @@ from .classifiers import (
     DEFAULT_SPACES,
     FAMILIES,
     SEEDED_FAMILIES,
+    check_rows,
     check_space,
     knn_train_predict,
     sample_params,
@@ -181,19 +182,22 @@ def nested_cv(
     value has the same type and `repr`. A task fits:
 
     * nothing, when all the fold's candidates are one configuration: the
-      first candidate wins whatever the scores. Such a fold can then fail
-      only at its refit;
+      first candidate wins whatever the scores;
     * each configuration once, for families whose fit ignores its seed;
       a random forest fits each candidate with its own seed;
     * for KNN, one neighbour ranking, which every k reads as a prefix.
 
+    Before any fit, `check_rows` checks the rows of every task in serial
+    order: per fold, each search task's (fit, eval) rows, then the refit's
+    (train, test) rows. Rows that `train_predict` refuses raise its
+    `ValueError` then: the first the serial loop hits, except that a fold
+    whose candidates are all one configuration is checked at its refit only.
+
     The tasks run in two passes, every fold's search and then every fold's
     refit, on one forked worker per CPU in this process's affinity mask
     (inline when that is one CPU, or the platform cannot fork). The result
-    is the same bytes either way. A failing fit raises the error of the
-    first failing fit in serial order among those that run, once the folds
-    before it have refit; a fit after the earliest failure seen so far is
-    skipped. A worker that dies ends the call with
+    is the same bytes either way. Any other error in a fit propagates, and
+    a worker that dies ends the call with
     `concurrent.futures.process.BrokenProcessPool`.
     """
     check_cv_params(outer_k, inner_k, search_iters)
@@ -217,10 +221,11 @@ def nested_cv(
     plans = [_plan_fold(instances, spec, test_list, fold_idx, inner_k, search_iters,
                         seed, group_by_user, warnings)
              for fold_idx, test_list in enumerate(outer_folds)]
-    # The serial position of the earliest failing search fit seen so far,
-    # shared with the workers.
-    cutoff = multiprocessing.Value("q", _NO_FAILURE, lock=False)
-    context = (spec.family, X, y, cutoff)
+    for plan in plans:
+        for search in plan.searches:
+            check_rows(X[search.fit_idx], y[search.fit_idx], X[search.eval_idx])
+        check_rows(X[plan.train_idx], y[plan.train_idx], X[plan.test_idx])
+    context = (spec.family, X, y)
     workers = _fit_workers(sum(len(plan.searches) for plan in plans) + len(plans))
     if workers == 1:
         fold_results = _run_plans(plans, lambda tasks: (_run_task(*context, task)
@@ -250,16 +255,11 @@ def nested_cv(
         transition_missing=[STANCE_ORDER[i].value for i in missing], warnings=warnings)
 
 
-_NO_FAILURE = 2**63 - 1  # the cutoff before any search fit fails
-
-
 class _Fit(NamedTuple):
-    """One search fit. `position` orders fits as the serial loop runs them:
-    by outer fold, then candidate, then inner split."""
+    """One search fit: a configuration and its seed."""
 
     params: dict
     seed: int
-    position: int
 
 
 class _Search(NamedTuple):
@@ -360,8 +360,7 @@ def _plan_fold(instances: LabeledRows, spec: ClassifierSpec, test_list: list[int
     slots = [slot_of[key] for key in keys]
     searches = [_Search(fit_idx, val_idx,
                         [_Fit(candidates[c],
-                              _candidate_seed(seed, fold_idx, c * inner_k + inner_i),
-                              (fold_idx * search_iters + c) * inner_k + inner_i)
+                              _candidate_seed(seed, fold_idx, c * inner_k + inner_i))
                          for c in first_draw.values()])
                 for inner_i, fit_idx, val_idx in splits]
     return _FoldPlan(test_idx=test_idx, train_idx=train_idx, candidates=candidates,
@@ -374,52 +373,33 @@ def _run_plans(plans: list[_FoldPlan], run: Callable[[Iterable], Iterator],
                search_iters: int) -> list[tuple[FoldResult, np.ndarray]]:
     """Run every fold's search tasks, then every fold's refit; return (result, preds) per fold.
 
-    `run(tasks)` yields each task's outcome in task order. When a search fit
-    fails, the pending search tasks are cancelled, the folds before it still
-    refit, and the first failing refit's error is raised if there is one,
-    else the search fit's: the error the serial loop hits first.
+    `run(tasks)` yields each task's outcome in task order.
     """
     started = time.perf_counter()
     n_fits = sum(plan.n_search_fits + 1 for plan in plans)  # the fits dispatched
     outcomes = run(search for plan in plans for search in plan.searches)
     refits: list[_Refit] = []
     fits_done = 0
-    search_error: Optional[Exception] = None
-    try:
-        for plan in plans:
-            split_scores, failures = [], []
-            for search in plan.searches:
-                scores, failure = next(outcomes)
-                split_scores.append(scores)
-                if failure is not None:
-                    failures.append(failure)
-            if failures:
-                raise min(failures, key=lambda failure: failure[0])[1]
-            fits_done += plan.n_search_fits
-            # Scores stay in serial order: a float mean depends on the order of its terms.
-            best_params, best_score = None, -1.0
-            for params, slot in zip(plan.candidates, plan.slots):
-                scores = [by_config[slot] for by_config in split_scores]
-                mean_score = float(np.mean(scores)) if scores else -1.0
-                if best_params is None or mean_score > best_score:
-                    best_params, best_score = params, mean_score
-            refits.append(_Refit(best_params, plan.train_idx, plan.test_idx, plan.refit_seed))
-            elapsed = time.perf_counter() - started
-            log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, "
-                     "ETA %.1f s", family, len(refits), len(plans), len(refits) * search_iters,
-                     len(plans) * search_iters, elapsed,
-                     elapsed / max(fits_done, 1) * (n_fits - fits_done))
-    except Exception as exc:  # a fit's error, raised once the folds before it refit
-        search_error = exc
-    finally:
-        outcomes.close()  # cancels the search tasks still pending
-    results = [(FoldResult(fold=fold, params=refit.params,
-                           metrics=macro_metrics(preds, y[refit.eval_idx]),
-                           n_test=int(refit.eval_idx.size)), preds)
-               for fold, (refit, preds) in enumerate(zip(refits, run(refits)))]
-    if search_error is not None:
-        raise search_error
-    return results
+    for plan in plans:
+        split_scores = [next(outcomes) for _ in plan.searches]
+        fits_done += plan.n_search_fits
+        # Scores stay in serial order: a float mean depends on the order of its terms.
+        best_params, best_score = None, -1.0
+        for params, slot in zip(plan.candidates, plan.slots):
+            scores = [by_config[slot] for by_config in split_scores]
+            mean_score = float(np.mean(scores)) if scores else -1.0
+            if best_params is None or mean_score > best_score:
+                best_params, best_score = params, mean_score
+        refits.append(_Refit(best_params, plan.train_idx, plan.test_idx, plan.refit_seed))
+        elapsed = time.perf_counter() - started
+        log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, "
+                 "ETA %.1f s", family, len(refits), len(plans), len(refits) * search_iters,
+                 len(plans) * search_iters, elapsed,
+                 elapsed / max(fits_done, 1) * (n_fits - fits_done))
+    return [(FoldResult(fold=fold, params=refit.params,
+                        metrics=macro_metrics(preds, y[refit.eval_idx]),
+                        n_test=int(refit.eval_idx.size)), preds)
+            for fold, (refit, preds) in enumerate(zip(refits, run(refits)))]
 
 
 def _fit_workers(n_tasks: int) -> int:
@@ -434,14 +414,8 @@ def _fit_workers(n_tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _run_task(family: str, X: np.ndarray, y: np.ndarray, cutoff, task):
-    """Run one task: a refit returns its predictions, a search (scores, failure).
-
-    A search scores its fits in order. It stops before a fit placed after
-    `cutoff.value`, whose outcome cannot change the result, or at the first
-    fit that fails: then `failure` is (that fit's position, its error), and
-    the cutoff drops to that position. Otherwise `failure` is None.
-    """
+def _run_task(family: str, X: np.ndarray, y: np.ndarray, task):
+    """Run one task: a refit returns its predictions, a search its fits' scores in order."""
     if isinstance(task, _Refit):
         return train_predict(family, task.params, X[task.fit_idx], y[task.fit_idx],
                              X[task.eval_idx], seed=task.seed)
@@ -452,16 +426,7 @@ def _run_task(family: str, X: np.ndarray, y: np.ndarray, cutoff, task):
         predictions = (train_predict(family, fit.params, *rows, seed=fit.seed)
                        for fit in task.fits)
     eval_y = y[task.eval_idx]
-    scores: list[float] = []
-    for fit in task.fits:
-        if fit.position > cutoff.value:
-            break
-        try:
-            scores.append(macro_metrics(next(predictions), eval_y)["macro_f1"])
-        except Exception as exc:  # returned, so that the parent can order failures
-            cutoff.value = min(cutoff.value, fit.position)
-            return scores, (fit.position, exc)
-    return scores, None
+    return [macro_metrics(preds, eval_y)["macro_f1"] for preds in predictions]
 
 
 # Set in each forked worker by `_init_worker`; the parent never sets it.

@@ -35,12 +35,7 @@ from .features import (
     schema_columns,
 )
 from .learning.cv import ClassifierSpec, make_instances, nested_cv
-from .stance import (
-    HashtagLexicon,
-    StanceAssignment,
-    label_period_users,
-    train_weak_supervised,
-)
+from .stance import StanceAssignment, label_period_users, train_weak_supervised
 from .synth import generate_synthetic_corpus, truth_to_tsv
 
 log = logging.getLogger("stancecast.pipeline")
@@ -290,7 +285,7 @@ def _build_profile(config: PipelineConfig) -> Files:
 # ---------------------------------------------------------------------------
 
 def _label_key(config: PipelineConfig) -> dict:
-    config.require_lexicon()
+    config.load_lexicon()  # a missing or invalid lexicon is refused before its digest
     return {
         "seed": config.seed,
         "params": dataclasses.asdict(config.labeler),
@@ -300,8 +295,7 @@ def _label_key(config: PipelineConfig) -> dict:
 
 def _build_label(config: PipelineConfig) -> Files:
     entries, partition = _load_corpus(config)
-    lexicon = (HashtagLexicon.from_file(config.lexicon)
-               if config.lexicon else HashtagLexicon.default())
+    lexicon = config.load_lexicon()
     params = config.labeler
     try:
         training = train_weak_supervised(

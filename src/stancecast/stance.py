@@ -67,7 +67,7 @@ class HashtagLexicon:
         sections: dict[str, set[str]] = {"pro": set(), "against": set()}
         current: Optional[str] = None
         with open(path, encoding="utf-8-sig") as handle:
-            for raw in handle:
+            for number, raw in enumerate(handle, 1):
                 line = raw.strip()
                 if not line:
                     continue
@@ -75,7 +75,7 @@ class HashtagLexicon:
                     current = line.strip("[]").lower()
                     continue
                 if current is None:
-                    raise ValueError(f"{path}: hashtag before any section header")
+                    raise ValueError(f"line {number}: hashtag before any section header")
                 sections[current].add(line.lstrip("#").lower())
         return cls(pro=frozenset(sections["pro"]), against=frozenset(sections["against"]))
 

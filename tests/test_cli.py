@@ -844,6 +844,8 @@ def test_deeply_nested_config_is_config_error(tmp_path, capsys, where):
     'learning.families={"gaussian_nb": 1}', 'features.sets="FS1"', 'synth.participation="x"',
     "synth.stance_vocab_size=362", "synth.common_vocab_size=400",
     'learning.spaces={"random_forest": {"n_trees": ["choice", [2.5]]}}',
+    'features.sets=["FS1", "FS1"]', "features.sets=[]", 'learning.families=["knn", "knn"]',
+    "learning.families=[]",
 ])
 def test_out_of_range_value_is_config_error_at_load(tmp_path, capsys, override):
     config = write_config(tmp_path, output_dir=str(tmp_path / "out"))
@@ -919,6 +921,34 @@ def test_undecodable_config_is_config_error(tmp_path, capsys):
     config.write_bytes(b"\xff\xfe{}")
     assert run("synth", config) == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot read config {config}")
+
+
+BAD_LEXICONS = {
+    "undecodable": b"[pro]\nvote\xffleave\n[against]\nremain\n",
+    "hashtag before a header": b"voteleave\n[pro]\nbrexit\n[against]\nremain\n",
+    "overlapping sides": b"[pro]\nbrexit\n[against]\nbrexit\nremain\n",
+    "missing side": b"[pro]\nbrexit\n",
+}
+
+
+@pytest.mark.parametrize("lexicon", sorted(BAD_LEXICONS))
+def test_bad_lexicon_is_config_error(pipeline_dir, capsys, lexicon):
+    from stancecast.stance import DEFAULT_AGAINST_HASHTAGS, DEFAULT_PRO_HASHTAGS
+    tmp_path, _ = pipeline_dir
+    path = tmp_path / "lexicon.txt"
+    path.write_text("\n".join(["[pro]", *sorted(DEFAULT_PRO_HASHTAGS),
+                               "[against]", *sorted(DEFAULT_AGAINST_HASHTAGS)]) + "\n")
+    config = write_config(tmp_path, lexicon=str(path))
+    for command in ("ingest", "label"):
+        assert run(command, config) == 0, command
+    names = ["label.hash", *TestCaching.ARTIFACTS["label"]]
+    before = _stats(tmp_path, names), (tmp_path / "label.hash").read_bytes()
+    path.write_bytes(BAD_LEXICONS[lexicon])
+    capsys.readouterr()
+    assert run("label", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: lexicon {path}: ") and err.count("\n") == 1
+    assert (_stats(tmp_path, names), (tmp_path / "label.hash").read_bytes()) == before
 
 
 def test_empty_synth_section_keeps_cli_defaults(tmp_path):

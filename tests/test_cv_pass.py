@@ -13,7 +13,6 @@ import json
 import logging
 from collections import Counter
 import random
-import time
 
 import numpy as np
 import pytest
@@ -202,57 +201,6 @@ def test_non_finite_row_raises_the_serial_error(two_workers):
     assert str(pooled.value) == str(serial.value)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_earliest_failure_in_serial_order_wins(workers, monkeypatch):
-    # Fold 1's search fits fail at once; fold 0's search fits are slow and
-    # its refit, which comes before fold 1 in serial order, fails later.
-    cv_seed, search_iters, inner_k = 3, 2, 2
-    refit_0 = _candidate_seed(cv_seed, 0, search_iters * inner_k + inner_k)
-    fold_1 = {_candidate_seed(cv_seed, 1, i) for i in range(search_iters * inner_k)}
-    fold_0 = {_candidate_seed(cv_seed, 0, i) for i in range(search_iters * inner_k)}
-    real = cv.train_predict
-
-    def flaky(family, params, X, y, X_eval, seed=0):
-        if seed in fold_0:
-            time.sleep(0.2)
-        if seed == refit_0 or seed in fold_1:
-            raise ValueError(f"fit with seed {seed} failed")
-        return real(family, params, X, y, X_eval, seed=seed)
-
-    monkeypatch.setattr(cv, "train_predict", flaky)
-    instances = rows(7)
-    spec = ClassifierSpec("gaussian_nb")
-    kwargs = dict(outer_k=3, inner_k=inner_k, search_iters=search_iters, seed=cv_seed)
-    with pytest.raises(ValueError, match=f"seed {refit_0} failed"):
-        reference_nested_cv(instances, spec, **kwargs)
-    monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: workers)
-    with pytest.raises(ValueError, match=f"seed {refit_0} failed"):
-        nested_cv(instances, spec, **kwargs)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_failing_fit_cancels_the_pending_ones(workers, monkeypatch):
-    # 30 search fits: the first fails and the other 29 sleep. Run to the end,
-    # they would take 4.35 s on two workers.
-    cv_seed = 8
-    first = _candidate_seed(cv_seed, 0, 0)
-    real = cv.train_predict
-
-    def slow(family, params, X, y, X_eval, seed=0):
-        if seed == first:
-            raise ValueError("the first search fit failed")
-        time.sleep(0.3)
-        return real(family, params, X, y, X_eval, seed=seed)
-
-    monkeypatch.setattr(cv, "train_predict", slow)
-    monkeypatch.setattr(cv, "_fit_workers", lambda n_fits: workers)
-    started = time.perf_counter()
-    with pytest.raises(ValueError, match="the first search fit failed"):
-        nested_cv(rows(8), ClassifierSpec("gaussian_nb"), outer_k=3, inner_k=2,
-                  search_iters=5, seed=cv_seed)
-    assert time.perf_counter() - started < 3.0
-
-
 def test_fold_without_search_fits_logs_progress(caplog):
     # Each outer training portion holds one row of each class, so every
     # inner split fits on one class and is skipped: no fold has a search
@@ -378,8 +326,8 @@ def test_equal_values_of_other_types_stay_apart(workers, calls, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_configuration_fold_fails_at_its_refit(workers, calls, monkeypatch):
     # The NaN row lies in fold 0's training portion. The serial loop fails at
-    # fold 0's first search fit; with one configuration there is none, and
-    # fold 0's refit raises instead.
+    # fold 0's first search fit; with one configuration there is none, so
+    # fold 0's refit rows are refused instead, before any fit runs.
     instances = rows(14)
     spec = ClassifierSpec("gradient_boosting", {"n_trees": ("choice", [3]),
                                                 "max_depth": ("choice", [2]),
@@ -390,31 +338,71 @@ def test_one_configuration_fold_fails_at_its_refit(workers, calls, monkeypatch):
     monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
     with pytest.raises(ValueError, match="training features must be finite"):
         nested_cv(instances, spec, **kwargs)
-    seeds = {seed for _, seed, _ in calls.lines()}
-    assert str(_candidate_seed(9, 0, 4 * 2 + 2)) in seeds
-    assert seeds <= refit_seeds(9, 3, 2, 4)
+    assert calls.lines() == []
+
+
+def plant_row_defect(case, rng, instances, spec, kwargs):
+    """Plant `case`'s defect in `instances` at a row drawn by `rng`."""
+    X, y = instances.X, instances.y
+    if case in ("fit row", "eval row", "test-fold row"):
+        [test_list, *_], _ = _stratified_folds(y, kwargs["outer_k"], random.Random(kwargs["seed"]))
+        plan = cv._plan_fold(instances, spec, test_list, 0, kwargs["inner_k"],
+                             kwargs["search_iters"], kwargs["seed"], False, [])
+        where = {"fit row": plan.searches[0].fit_idx, "eval row": plan.searches[0].eval_idx,
+                 "test-fold row": plan.test_idx}[case]
+        X[rng.choice(list(where)), rng.randrange(X.shape[1])] = \
+            rng.choice([np.nan, np.inf, -np.inf])
+    elif case == "one-class training portion":
+        # The one row of another class makes its outer fold's training portion one class.
+        majority, lone = rng.sample(range(3), 2)
+        y[:] = majority
+        y[rng.randrange(y.size)] = lone
+    else:
+        y[rng.randrange(y.size)] = rng.choice([-1, 3])
+
+
+ROW_DEFECTS = {
+    "fit row": "training features must be finite",
+    "eval row": "eval features must be finite",
+    "test-fold row": "eval features must be finite",
+    "one-class training portion": "at least two classes",
+    "out-of-range label": "training labels must lie in",
+}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_earliest_failure_within_a_fold_is_candidate_major(workers, monkeypatch):
-    # Inner split 0 fails at candidate 2 and inner split 1 at candidate 1, so
-    # the serial loop raises split 1's error although split 0 comes first.
-    cv_seed, search_iters, inner_k = 5, 4, 2
-    failing = {_candidate_seed(cv_seed, 0, 2 * inner_k + 0),
-               _candidate_seed(cv_seed, 0, 1 * inner_k + 1)}
+@pytest.mark.parametrize("case", sorted(ROW_DEFECTS))
+def test_rows_are_refused_before_any_fit(case, workers, calls, monkeypatch):
+    for sweep_seed in range(4):
+        rng = random.Random(f"{case}-{sweep_seed}")
+        family = rng.choice(sorted(SPACES))
+        spec = ClassifierSpec(family, SPACES[family])
+        kwargs = dict(outer_k=3, inner_k=2, search_iters=3, seed=rng.randrange(100))
+        instances = rows(20 + sweep_seed)
+        plant_row_defect(case, rng, instances, spec, kwargs)
+        with pytest.raises(ValueError, match=ROW_DEFECTS[case]) as serial:
+            reference_nested_cv(instances, spec, **kwargs)
+        calls.path.unlink(missing_ok=True)
+        monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
+        with pytest.raises(ValueError) as pooled:
+            nested_cv(instances, spec, **kwargs)
+        assert str(pooled.value) == str(serial.value), (family, kwargs)
+        assert calls.lines() == [], (family, kwargs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_fit_error_propagates(workers, monkeypatch):
+    # Fold 2's first search fit breaks; every other fit runs.
+    broken_seed = _candidate_seed(8, 2, 0)
     real = cv.train_predict
 
-    def flaky(family, params, X, y, X_eval, seed=0):
-        if seed in failing:
-            raise ValueError(f"fit with seed {seed} failed")
+    def breaking(family, params, X, y, X_eval, seed=0):
+        if seed == broken_seed:
+            raise RuntimeError("the fit broke")
         return real(family, params, X, y, X_eval, seed=seed)
 
-    monkeypatch.setattr(cv, "train_predict", flaky)
-    instances, spec = rows(15), ClassifierSpec("gaussian_nb")
-    kwargs = dict(outer_k=3, inner_k=inner_k, search_iters=search_iters, seed=cv_seed)
-    expected = f"seed {_candidate_seed(cv_seed, 0, 1 * inner_k + 1)} failed"
-    with pytest.raises(ValueError, match=expected):
-        reference_nested_cv(instances, spec, **kwargs)
+    monkeypatch.setattr(cv, "train_predict", breaking)
     monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
-    with pytest.raises(ValueError, match=expected):
-        nested_cv(instances, spec, **kwargs)
+    with pytest.raises(RuntimeError, match="the fit broke"):
+        nested_cv(rows(8), ClassifierSpec("gaussian_nb"), outer_k=3, inner_k=2,
+                  search_iters=3, seed=8)

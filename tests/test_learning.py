@@ -126,6 +126,14 @@ class TestFamilies:
         with pytest.raises(ValueError):
             train_predict("knn", {"k": 3}, X, y, X, n_classes=2)
 
+    @pytest.mark.parametrize("label", [3, -1])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_out_of_range_label_rejected(self, family, label):
+        X, y = blobs(seed=1, classes=3, d=3)
+        y[5] = label
+        with pytest.raises(ValueError, match=rf"training labels must lie in \[0, 3\), got {label}"):
+            train_predict(family, {}, X, y, X, n_classes=3)
+
     def test_determinism_per_family(self):
         X, y = blobs(seed=8, classes=3, d=4, n=30)
         for family in FAMILIES:
