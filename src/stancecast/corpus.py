@@ -220,8 +220,8 @@ def build_forest(entries: list[Entry]) -> ThreadForest:
 
     cycle_members = _find_cycle_members(parent_link)
     if cycle_members:
-        log.warning("broke %d parent-link cycle entrie(s): %s",
-                    len(cycle_members), sorted(cycle_members)[:10])
+        log.debug("broke %d parent-link cycle entrie(s): %s",
+                  len(cycle_members), sorted(cycle_members)[:10])
         for node in cycle_members:
             del parent_link[node]
             orphans.add(node)

@@ -6,10 +6,11 @@ composition of the threads the user engaged in, FS0 a TF-IDF textual
 baseline over the corpus top words, and the unions FS4 (FS1+FS2+FS3) and
 FS5 (FS0+FS4). Each set is one `FeatureTable` whose rows end with a
 3-slot one-hot of the user's current stance, shared once inside unions.
-`compute_fs0`-`compute_fs3` take every (user, period) key at once and
-return the set's numeric block, one row per key; `extract_all` writes each
-block and the one-hot into one values array per set, and FS0 counts its
-terms straight into that array.
+`compute_fs0`-`compute_fs3` take any list of (user, period) keys and return
+the set's numeric block, one row per key; `extract_all` writes each block and
+the one-hot into one array per set. FS1-FS3 read `PeriodUserIndex`: arrays
+over the forest's pre-order, with subtree ranges, in-period tallies as
+prefix-count differences over them, and a CSR slice of entries per key.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 from math import log as ln
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -146,55 +147,89 @@ class FeatureTable:
                 for block in (self.values[:, :-3], self.values[:, -3:]) if block.shape[1]]
 
 
-@dataclass(slots=True)
-class UserPeriodActivity:
-    posts: list[str] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
-    threads: set[str] = field(default_factory=set)
+class UserPeriodActivity(NamedTuple):
+    posts: list[str]
+    comments: list[str]
+    threads: set[str]
 
 
-# Tally slot for entries whose author has no stance in the entry's period;
-# slots 0-2 follow STANCE_ORDER.
+# Slot of an entry whose author has no stance in its period; 0-2 follow STANCE_ORDER.
 _UNLABELED = len(STANCE_ORDER)
+_NEUTRAL = STANCE_INDEX[Stance.NEUTRAL]
 
 
-@dataclass
+@dataclass(eq=False)
 class PeriodUserIndex:
-    """Per-period lookups built in one pass over forest, partition and stances.
+    """Flat arrays over the forest's pre-order: position i is entry `order[i]`.
 
-    `activity` holds each user's posts, comments other than auto-comments
-    (replies to the user's own entry) and threads per period, and
-    `period_of` the period of every in-range entry. Two tallies count
-    entries by their author's stance in the entry's period, as
-    (Against, Neutral, Pro, unlabeled):
-
-    * `replies[e]`, for every in-range entry `e`: its direct and indirect
-      replies that fall in the same period as `e`;
-    * `composition[(thread, period)]`: the thread's entries in that period.
-
-    `replies` comes from one bottom-up recurrence, which is exact because
-    `build_forest` clamps every child's timestamp up to its parent's:
-    periods never decrease along a root-to-leaf path, so the in-period
-    replies of `e` are the connected same-period subtree below it.
-    `build_period_user_index` raises `ValueError` on a forest that breaks
-    this invariant. `stances` is the assignment the tallies were counted
-    with; FS2 and FS3 refuse any other.
+    Per position: `period` (-1 out of range), `author` (the name's rank),
+    `parent` (the position its parent_id names, else -1), `thread` (its
+    root's position), `end` (its subtree is [i, end[i])), `is_post`, and
+    `counted` (false for replies to the author's own entry). `slots[a, j]`
+    is author a's slot in period j (Against, Neutral, Pro, unlabeled; column
+    -1 unlabeled). `keys` maps each active (user, period), in (period, user)
+    order, to its row k, which owns positions `entries[starts[k]:starts[k+1]]`.
+    As `build_forest` clamps children up to their parent's timestamp, e's
+    in-period replies are the entries of its period in (e, end[e]), and a
+    thread's composition in period j those of j in its root's range. `tally`
+    counts either as a difference of two rows of `prefix`, the running slot
+    counts over the in-range positions in `sorted_keys` (period * (n + 1) +
+    position) order. FS2 and FS3 refuse all but `stances`, the slots' source.
     """
 
-    activity: dict[int, dict[str, UserPeriodActivity]]
-    period_of: dict[str, int]
-    replies: dict[str, tuple[int, int, int, int]]
-    composition: dict[tuple[str, int], tuple[int, int, int, int]]
     stances: StanceAssignment
+    order: Sequence[str]
+    period: np.ndarray
+    author: np.ndarray
+    slots: np.ndarray
+    parent: np.ndarray
+    thread: np.ndarray
+    end: np.ndarray
+    is_post: np.ndarray
+    counted: np.ndarray
+    keys: dict[Key, int]
+    starts: np.ndarray
+    entries: np.ndarray
+    sorted_keys: np.ndarray
+    prefix: np.ndarray
+
+    def tally(self, period: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Slot counts of the entries of `period` at positions [lo, hi), one row each."""
+        base = period * (len(self.order) + 1)
+        return (self.prefix[np.searchsorted(self.sorted_keys, base + hi)]
+                - self.prefix[np.searchsorted(self.sorted_keys, base + lo)])
+
+    @functools.cached_property
+    def replies(self) -> dict[str, tuple[int, int, int, int]]:
+        """Each in-range entry's in-period reply tally, by entry id."""
+        inside = np.flatnonzero(self.period >= 0)
+        return dict(zip([self.order[i] for i in inside.tolist()],
+                        map(tuple, self.tally(self.period[inside], inside + 1,
+                                              self.end[inside]).tolist())))
 
     def users(self, period: int) -> list[str]:
-        return sorted(self.activity.get(period, {}))
+        return [user for user, j in self.keys if j == period]
+
+    def gather(self, keys: Sequence[Key]) -> tuple[np.ndarray, np.ndarray]:
+        """(row in `keys`, position) of every entry of every key, key after key."""
+        rows = [self.keys.get((user, period), -1) for user, period in keys]
+        if -1 in rows:
+            raise ValueError("user {!r} is not active in period {}".format(*keys[rows.index(-1)]))
+        if len(rows) == 1:  # one key's entries are one slice
+            at = self.entries[self.starts[rows[0]]:self.starts[rows[0] + 1]]
+            return np.zeros(len(at), dtype=np.int64), at
+        rows = np.array(rows, dtype=np.int64)
+        stop = self.starts[rows + 1]
+        count = stop - self.starts[rows]
+        shift = np.repeat(stop - np.cumsum(count), count)
+        return np.repeat(np.arange(len(rows)), count), self.entries[np.arange(len(shift)) + shift]
 
     def user_activity(self, user: str, period: int) -> UserPeriodActivity:
-        try:
-            return self.activity[period][user]
-        except KeyError:
-            raise ValueError(f"user {user!r} is not active in period {period}") from None
+        at = self.gather([(user, period)])[1].tolist()
+        return UserPeriodActivity(
+            posts=[self.order[i] for i in at if self.is_post[i]],
+            comments=[self.order[i] for i in at if self.counted[i] and not self.is_post[i]],
+            threads={self.order[self.thread[i]] for i in at})
 
     def require_stances(self, stances: StanceAssignment) -> None:
         if stances is not self.stances:
@@ -204,142 +239,105 @@ class PeriodUserIndex:
 def build_period_user_index(
     forest: ThreadForest, partition: TimePartition, stances: StanceAssignment
 ) -> PeriodUserIndex:
-    activity: dict[int, dict[str, UserPeriodActivity]] = {
-        j: {} for j in range(partition.n_periods)
-    }
-    period_of: dict[str, int] = {}
-    slot_of: dict[str, int] = {}
-    composition: dict[tuple[str, int], list[int]] = {}
-    # Top-down: the forest's pre-order, so parents precede children.
-    for eid in forest.order:
-        entry = forest.entry_index[eid]
-        period = partition.period_of(entry.timestamp)
-        if period is None:
-            continue
-        period_of[eid] = period
-        slot = activity[period].setdefault(entry.author, UserPeriodActivity())
-        if entry.is_post:
-            slot.posts.append(eid)
-        else:
-            # An auto-comment's immediate parent has the same author; an
-            # unknown parent makes none.
-            parent = forest.entry_index.get(entry.parent_id)
-            if parent is None or parent.author != entry.author:
-                slot.comments.append(eid)
-        thread = forest.thread_of[eid]
-        slot.threads.add(thread)
-        stance = stances.get(entry.author, period)
-        slot_of[eid] = _UNLABELED if stance is None else STANCE_INDEX[stance]
-        composition.setdefault((thread, period), [0, 0, 0, 0])[slot_of[eid]] += 1
+    order = forest.order
+    n = len(order)
+    position = dict(zip(order, range(n)))
+    entries = [forest.entry_index[eid] for eid in order]
+    timestamp = np.array([e.timestamp for e in entries], dtype=np.int64)
+    names = sorted({e.author for e in entries})
+    code = dict(zip(names, range(len(names))))
+    author = np.array([code[e.author] for e in entries], dtype=np.int64)
+    parent = np.array([position.get(e.parent_id, -1) for e in entries], dtype=np.int64)
 
-    # Bottom-up: tally[e] = sum over same-period children c of onehot(c) + tally[c].
-    replies: dict[str, tuple[int, int, int, int]] = {}
-    for eid in reversed(forest.order):
-        timestamp = forest.entry_index[eid].timestamp
-        period = period_of.get(eid)
-        tally = [0, 0, 0, 0]
-        for child in forest.children[eid]:
-            if forest.entry_index[child].timestamp < timestamp:
-                raise ValueError(
-                    f"entry {child!r} is earlier than its parent {eid!r}; "
-                    "the forest must come from build_forest")
-            if period is not None and period_of.get(child) == period:
-                for k, n in enumerate(replies[child]):
-                    tally[k] += n
-                tally[slot_of[child]] += 1
-        if period is not None:
-            replies[eid] = tuple(tally)
+    children = [forest.children[eid] for eid in order]
+    kids = np.array([len(c) for c in children], dtype=np.int64)
+    child = np.array([position[c] for c in chain.from_iterable(children)], dtype=np.int64)
+    up = np.repeat(np.arange(n), kids)
+    late = np.flatnonzero(timestamp[child] < timestamp[up])
+    if late.size:  # name the first child of the last parent in pre-order
+        first = late[np.argmax(up[late] == up[late[-1]])]
+        raise ValueError(f"entry {order[child[first]]!r} is earlier than its parent "
+                         f"{order[up[first]]!r}; the forest must come from build_forest")
+    # A subtree ends at the leaf reached by following last children, in doubling jumps.
+    last = np.arange(n)
+    last[kids > 0] = child[np.cumsum(kids)[kids > 0] - 1]
+    while not np.array_equal(jump := last[last], last):
+        last = jump
+    root = np.bincount(child, minlength=n) == 0
+
+    period = np.searchsorted(partition.cutoffs, timestamp, side="right") - 1
+    period[period == partition.n_periods] = -1
+    slots = np.full((len(names), partition.n_periods + 1), _UNLABELED, dtype=np.int64)
+    for (user, j), stance in stances.stance.items():
+        if user in code and 0 <= j < partition.n_periods:
+            slots[code[user], j] = STANCE_ORDER.index(stance)
+    inside = np.flatnonzero(period >= 0)
+    by_period = inside[np.argsort(period[inside], kind="stable")]
+    prefix = np.zeros((len(by_period) + 1, _UNLABELED + 1), dtype=np.int64)
+    np.cumsum(np.eye(_UNLABELED + 1, dtype=np.int64)[slots[author, period][by_period]],
+              axis=0, out=prefix[1:])
+    key_of = period[inside] * len(names) + author[inside]
+    grouped = np.argsort(key_of, kind="stable")
+    distinct, starts = np.unique(key_of[grouped], return_index=True)
+    periods, users = np.divmod(distinct, max(len(names), 1))
     return PeriodUserIndex(
-        activity=activity, period_of=period_of, replies=replies,
-        composition={key: tuple(counts) for key, counts in composition.items()},
-        stances=stances)
+        stances=stances, order=order, period=period, author=author, slots=slots,
+        parent=parent, thread=np.flatnonzero(root)[np.cumsum(root) - 1], end=last + 1,
+        is_post=np.array([e.parent_id is None for e in entries], dtype=bool),
+        counted=~((parent >= 0) & (author[parent] == author)),
+        keys={(names[a], j): k for k, (a, j) in enumerate(zip(users.tolist(), periods.tolist()))},
+        starts=np.append(starts, len(inside)), entries=inside[grouped],
+        sorted_keys=period[by_period] * (n + 1) + by_period, prefix=prefix)
 
 
-def _own_entries(keys: Sequence[Key], index: PeriodUserIndex
-                 ) -> tuple[np.ndarray, list[str], np.ndarray, list[str]]:
-    """Every key's countable entries m_i (posts, then non-auto comments) and
-    its non-auto comments, each flat as (row of the key, entry id) arrays."""
-    rows: list[int] = []
-    entries: list[str] = []
-    comment_rows: list[int] = []
-    comments: list[str] = []
-    for row, (user, period) in enumerate(keys):
-        activity = index.user_activity(user, period)
-        rows += repeat(row, len(activity.posts) + len(activity.comments))
-        entries += activity.posts
-        entries += activity.comments
-        comment_rows += repeat(row, len(activity.comments))
-        comments += activity.comments
-    return (np.array(rows, dtype=np.int64), entries,
-            np.array(comment_rows, dtype=np.int64), comments)
-
-
-def _require_labeled(unlabeled: np.ndarray, rows: np.ndarray, names: list[str],
-                     keys: Sequence[Key], what: str, order: Callable[[str], object]) -> None:
-    """Raise for the first tally with unlabeled authors: lowest row, then `order` of its name."""
+def _require_labeled(unlabeled: np.ndarray, rows: np.ndarray, keys: Sequence[Key], what: str,
+                     name: Callable[[int], str], order: Callable[[int], object]) -> None:
+    """Raise for the first tally i with unlabeled authors by (row, `order(i)`), named `name(i)`."""
     bad = np.flatnonzero(unlabeled).tolist()
     if bad:
-        row, _, first = min((rows[i], order(names[i]), i) for i in bad)
+        first = min(bad, key=lambda i: (rows[i], order(i)))
         raise ValueError(
-            f"{unlabeled[first]} {what} {names[first]!r} have an author "
-            f"with no stance labeled in period {keys[row][1]}; "
+            f"{unlabeled[first]} {what} {name(first)!r} have an author "
+            f"with no stance labeled in period {keys[rows[first]][1]}; "
             "labeling must precede feature extraction")
 
 
 def compute_fs1(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserIndex) -> np.ndarray:
     """Activity features per key: initiated posts, submitted comments, reply quantiles."""
-    rows, entries, comment_rows, _ = _own_entries(keys, index)
-    submitted = np.bincount(comment_rows, minlength=len(keys))
+    rows, at = index.gather(keys)
+    post, counted = index.is_post[at], index.counted[at]
+    rows, at = rows[counted], at[counted]
     block = np.empty((len(keys), 7))
-    block[:, 0] = np.bincount(rows, minlength=len(keys)) - submitted
-    block[:, 1] = submitted
-    block[:, 2:] = grouped_quantiles5(rows, [sum(index.replies[eid]) for eid in entries],
-                                      len(keys))
+    block[:, 0] = np.bincount(rows[post[counted]], minlength=len(keys))
+    block[:, 1] = np.bincount(rows[~post[counted]], minlength=len(keys))
+    replies = index.tally(index.period[at], at + 1, index.end[at]).sum(axis=1)
+    block[:, 2:] = grouped_quantiles5(rows, replies, len(keys))
     return block
-
-
-def _parent_stance(
-    forest: ThreadForest,
-    entry: Entry,
-    period: int,
-    index: PeriodUserIndex,
-    stances: StanceAssignment,
-) -> Stance:
-    """Stance bucket of the entry the comment replies to.
-
-    Preferred: the parent author's stance in the current period; else the
-    stance they held in the parent's own period. Parents outside the
-    corpus or outside the time range fall into the Neutral bucket so the
-    per-stance comment counts always sum to the total.
-    """
-    parent = forest.entry_index.get(entry.parent_id) if entry.parent_id else None
-    if parent is None:
-        return Stance.NEUTRAL
-    stance = stances.get(parent.author, period)
-    if stance is not None:
-        return stance
-    parent_period = index.period_of.get(parent.id)
-    if parent_period is not None:
-        stance = stances.get(parent.author, parent_period)
-        if stance is not None:
-            return stance
-    return Stance.NEUTRAL
 
 
 def compute_fs2(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserIndex,
                 stances: StanceAssignment) -> np.ndarray:
-    """Interaction features per key, split by the stance of the counterpart."""
+    """Interaction features per key, split by the stance of the counterpart.
+
+    A comment counts under its parent author's stance in the comment's period,
+    else in the parent's period, else (or with no parent in the corpus) Neutral.
+    """
     index.require_stances(stances)
-    rows, entries, comment_rows, comments = _own_entries(keys, index)
-    tallies = np.array([index.replies[eid] for eid in entries], dtype=np.int64).reshape(-1, 4)
-    _require_labeled(tallies[:, _UNLABELED], rows, entries, keys, "in-period repl(ies) to",
-                     order=lambda eid: (forest.entry_index[eid].timestamp, eid))
+    rows, at = index.gather(keys)
+    rows, at = rows[index.counted[at]], at[index.counted[at]]
+    tallies = index.tally(index.period[at], at + 1, index.end[at])
+    _require_labeled(tallies[:, _UNLABELED], rows, keys, "in-period repl(ies) to",
+                     name=lambda i: index.order[at[i]],
+                     order=lambda i: (forest.entry_index[index.order[at[i]]].timestamp,
+                                      index.order[at[i]]))
+    comment = ~index.is_post[at]
+    parent = index.parent[at[comment]]
+    author = index.author[parent]
+    now, then = (index.slots[author, index.period[p]] for p in (at[comment], parent))
+    bucket = np.where(parent < 0, _NEUTRAL, np.where(
+        now != _UNLABELED, now, np.where(then != _UNLABELED, then, _NEUTRAL)))
     n = len(STANCE_ORDER)
-    buckets = [STANCE_INDEX[_parent_stance(forest, forest.entry_index[cid], keys[row][1],
-                                           index, stances)]
-               for row, cid in zip(comment_rows.tolist(), comments)]
-    sent = np.bincount(comment_rows * n + np.array(buckets, dtype=np.int64),
-                       minlength=len(keys) * n)
+    sent = np.bincount(rows[comment] * n + bucket, minlength=len(keys) * n)
     return np.hstack([sent.reshape(len(keys), n),
                       *(grouped_quantiles5(rows, tallies[:, k], len(keys)) for k in range(n))])
 
@@ -348,19 +346,14 @@ def compute_fs3(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserInde
                 stances: StanceAssignment) -> np.ndarray:
     """Stance composition of the threads each key's user engaged in."""
     index.require_stances(stances)
-    rows: list[int] = []
-    threads: list[str] = []
-    tallies: list[tuple[int, int, int, int]] = []
-    for row, (user, period) in enumerate(keys):
-        for thread in index.user_activity(user, period).threads:
-            rows.append(row)
-            threads.append(thread)
-            tallies.append(index.composition[(thread, period)])
-    counts = np.array(tallies, dtype=np.int64).reshape(-1, 4)
-    row_of = np.array(rows, dtype=np.int64)
-    _require_labeled(counts[:, _UNLABELED], row_of, threads, keys, "entr(ies) of thread",
-                     order=lambda thread: thread)
-    return np.hstack([grouped_quantiles5(row_of, counts[:, k], len(keys))
+    rows, at = index.gather(keys)
+    _, first = np.unique(rows * len(index.order) + index.thread[at], return_index=True)
+    rows, at = rows[first], at[first]
+    threads = index.thread[at]
+    counts = index.tally(index.period[at], threads, index.end[threads])
+    name = lambda i: index.order[threads[i]]
+    _require_labeled(counts[:, _UNLABELED], rows, keys, "entr(ies) of thread", name, name)
+    return np.hstack([grouped_quantiles5(rows, counts[:, k], len(keys))
                       for k in range(len(STANCE_ORDER))])
 
 
@@ -472,14 +465,13 @@ def extract_all(
             vocab = build_vocab_top_words(in_range, limit=vocab_width)
         documents = build_document_index(entries, partition)
 
-    keys = [(user, period) for period in range(partition.n_periods)
-            for user in index.users(period) if user != SENTINEL_AUTHOR]
-    onehot = np.zeros((len(keys), len(STANCE_ORDER)))
-    for row, (user, period) in enumerate(keys):
-        stance = stances.get(user, period)
-        if stance is None:
-            raise ValueError(f"no stance labeled for {user!r} in period {period}")
-        onehot[row, STANCE_INDEX[stance]] = 1.0
+    keys = [key for key in index.keys if key[0] != SENTINEL_AUTHOR]
+    first = index.entries[index.starts[[index.keys[key] for key in keys]]]
+    current = index.slots[index.author[first], index.period[first]]
+    if _UNLABELED in current:
+        user, period = keys[int(np.argmax(current == _UNLABELED))]
+        raise ValueError(f"no stance labeled for {user!r} in period {period}")
+    onehot = np.eye(len(STANCE_ORDER))[current]
     users = tuple(user for user, _ in keys)
     periods = np.array([period for _, period in keys], dtype=np.int64)
 

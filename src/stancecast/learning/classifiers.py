@@ -53,6 +53,8 @@ def _require_finite(name: str, value, positive: bool = True) -> None:
 def _validate_training(X: np.ndarray, y: np.ndarray, n_classes: int) -> None:
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a non-empty 2-d array")
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"training set has {X.shape[0]} rows but {y.size} labels")
     if not np.all(np.isfinite(X)):
         raise ValueError("training features must be finite")
     outside = y[(y < 0) | (y >= n_classes)]
@@ -403,7 +405,7 @@ def check_rows(X_train, y_train, X_eval, n_classes: int = 3) -> None:
     """Raise `ValueError` for rows that `train_predict` refuses, whatever the configuration.
 
     The eval rows must be finite; the training rows a finite, non-empty 2-d
-    array whose labels lie in [0, n_classes) and hold at least two classes.
+    array with one label per row in [0, n_classes), of at least two classes.
     """
     X_eval = np.asarray(X_eval, dtype=np.float64)
     if X_eval.size and not np.all(np.isfinite(X_eval)):

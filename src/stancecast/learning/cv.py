@@ -201,6 +201,10 @@ def nested_cv(
     `concurrent.futures.process.BrokenProcessPool`.
     """
     check_cv_params(outer_k, inner_k, search_iters)
+    for name in ("y", "current", "users", "periods"):
+        if len(getattr(instances, name)) != len(instances.X):
+            raise ValueError(f"{name} has {len(getattr(instances, name))} entries "
+                             f"for {len(instances.X)} rows of X")
     if len(instances) < outer_k:
         raise ValueError("need at least one instance per outer fold")
     X, y, users = instances.X, instances.y, instances.users

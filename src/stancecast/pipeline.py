@@ -206,6 +206,8 @@ def _build_ingest(config: PipelineConfig) -> Files:
     except OSError as exc:
         raise PipelineError(f"cannot read input {config.input}: {exc}") from exc
     forest = build_forest(parsed.entries)
+    if forest.broken_cycles:
+        log.warning("broke %d parent-link cycle entrie(s)", forest.broken_cycles)
     partition = TimePartition.from_iso_dates(config.periods)
     repaired = sorted(forest.entry_index.values(), key=lambda e: (e.timestamp, e.id))
     result = partition_periods(repaired, partition)

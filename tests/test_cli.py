@@ -149,6 +149,29 @@ class TestStages:
         assert diagnostics["clamped_timestamps"] == 1
         assert diagnostics["broken_cycles"] == 0
 
+    def test_cycle_warned_once_at_ingest(self, pipeline_dir, caplog):
+        # Two comments name each other as parent; corpus.jsonl keeps the
+        # links, so every later build_forest breaks the cycle again.
+        tmp_path, config = pipeline_dir
+        dump = tmp_path / "synthetic.jsonl"
+        first = json.loads(dump.read_text().splitlines()[0])
+        with open(dump, "a", encoding="utf-8") as handle:
+            for eid, parent in (("loop_a", "loop_b"), ("loop_b", "loop_a")):
+                handle.write(json.dumps({"id": eid, "author": "amy", "body": "#voteleave",
+                                         "created_utc": first["created_utc"],
+                                         "parent_id": parent}) + "\n")
+        warned = {}
+        for command in ("ingest", "label", "features"):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="stancecast"):
+                assert run(command, config) == 0, command
+            warned[command] = [r.getMessage() for r in caplog.records
+                               if r.levelno >= logging.WARNING and "cycle" in r.getMessage()]
+        assert warned == {"ingest": ["broke 2 parent-link cycle entrie(s)"],
+                          "label": [], "features": []}
+        diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
+        assert diagnostics["broken_cycles"] == 2
+
     def test_authors_that_break_tsv_rows_are_malformed(self, pipeline_dir):
         tmp_path, config = pipeline_dir
         dump = tmp_path / "synthetic.jsonl"

@@ -8,6 +8,7 @@ over outer folds, candidates and inner splits, fitting one after another.
 Every comparison is exact: the same `to_dict()` bytes, or the same error.
 """
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -388,6 +389,18 @@ def test_rows_are_refused_before_any_fit(case, workers, calls, monkeypatch):
             nested_cv(instances, spec, **kwargs)
         assert str(pooled.value) == str(serial.value), (family, kwargs)
         assert calls.lines() == [], (family, kwargs)
+
+
+@pytest.mark.parametrize("field", ["y", "current", "users", "periods"])
+def test_one_value_per_row_required(field, calls, monkeypatch):
+    instances = rows(7)
+    short = dataclasses.replace(instances, **{field: getattr(instances, field)[:-1]})
+    drawn = []
+    monkeypatch.setattr(cv, "_stratified_folds", lambda *a: drawn.append(a))
+    with pytest.raises(ValueError, match=rf"^{field} has 89 entries for 90 rows of X$"):
+        nested_cv(short, ClassifierSpec("gaussian_nb"), outer_k=3, inner_k=2,
+                  search_iters=2, seed=0)
+    assert drawn == [] and calls.lines() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -650,6 +650,117 @@ def test_extract_all_needs_every_current_stance():
         extract_all(forest, TimePartition((0, 100)), partial, sets=("FS1",))
 
 
+@st.composite
+def hostile_forests(draw):
+    """Entries on the partition (0, 100, 200) with dangling parents, an optional
+    parent-link cycle, auto-comments, sentinel authors and roots before the
+    range; the first entry is in range. Children are never earlier than their
+    parent, so no timestamp is clamped and the oracle reads the same trees."""
+    users = ["u0", "u1", "u2", "u3", "u4", SENTINEL_AUTHOR]
+    entries = []
+    for i in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["post", "reply", "auto", "dangling"]) if entries
+                    else st.just("post"))
+        author = draw(st.sampled_from(users))
+        if kind in ("reply", "auto"):
+            parent = entries[draw(st.integers(0, len(entries) - 1))]
+            author = parent.author if kind == "auto" else author
+            entries.append(Entry(f"e{i}", author, "", parent.timestamp + draw(st.integers(0, 150)),
+                                 parent.id))
+        else:
+            stamp = draw(st.integers(-60, 220) if entries else st.integers(0, 199))
+            entries.append(Entry(f"e{i}", author, "", stamp,
+                                 None if kind == "post" else f"gone{i}"))
+    cycle = draw(st.integers(0, 3))
+    if cycle:
+        stamp = draw(st.integers(0, 190))
+        for k in range(cycle + 1):  # c0 -> c1 -> ... -> c0, plus a reply to c0
+            entries.append(Entry(f"c{k}", draw(st.sampled_from(users)), "", stamp,
+                                 f"c{(k + 1) % (cycle + 1)}"))
+        entries.append(Entry("r", draw(st.sampled_from(users)), "", stamp + 5, "c0"))
+    return draw(st.permutations(entries)), cycle > 0
+
+
+def expected_offenders(forest, partition, stances, keys):
+    """The messages FS2 and FS3 must raise for `keys`, or None: each names the
+    first tally with unlabeled authors, at the lowest row, then the entry's
+    (timestamp, id) for FS2 and the thread id for FS3."""
+    def period(eid):
+        return partition.period_of(forest.entry_index[eid].timestamp)
+
+    def below(eid):
+        return [d for kid in forest.children[eid] for d in (kid, *below(kid))]
+
+    def unlabeled(ids, j):
+        return sum(1 for d in ids
+                   if period(d) == j and stances.get(forest.entry_index[d].author, j) is None)
+
+    fs2 = fs3 = None
+    for user, j in keys:
+        mine = [e for e in forest.entry_index.values() if e.author == user and period(e.id) == j]
+        counted = sorted((e for e in mine if e.parent_id not in forest.entry_index
+                          or forest.entry_index[e.parent_id].author != user),
+                         key=lambda e: (e.timestamp, e.id))
+        threads = sorted({forest.thread_of[e.id] for e in mine})
+        tail = (f" have an author with no stance labeled in period {j}; "
+                "labeling must precede feature extraction")
+        fs2 = fs2 or next((f"{n} in-period repl(ies) to {e.id!r}{tail}" for e in counted
+                           if (n := unlabeled(below(e.id), j))), None)
+        fs3 = fs3 or next((f"{n} entr(ies) of thread {t!r}{tail}" for t in threads
+                           if (n := unlabeled([t, *below(t)], j))), None)
+    return fs2, fs3
+
+
+class TestHostileForestProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_any_key_list_matches_the_sorted_call_and_the_oracle(self, data):
+        entries, has_cycle = data.draw(hostile_forests())
+        partition = TimePartition((0, 100, 200))
+        forest = build_forest(entries)
+        active = sorted({(e.author, partition.period_of(e.timestamp)) for e in entries
+                         if partition.period_of(e.timestamp) is not None},
+                        key=lambda key: (key[1], key[0]))
+        stances = assignment({key: data.draw(st.sampled_from(STANCE_ORDER)) for key in active})
+        index = build_period_user_index(forest, partition, stances)
+        assert list(index.keys) == active
+        calls = (lambda keys: compute_fs1(keys, forest, index),
+                 lambda keys: compute_fs2(keys, forest, index, stances),
+                 lambda keys: compute_fs3(keys, forest, index, stances))
+        full = [call(active) for call in calls]
+        keys = data.draw(st.permutations(
+            active + data.draw(st.lists(st.sampled_from(active), max_size=4))))
+        for call, block in zip(calls, full):
+            rows = call(keys)
+            assert rows.tobytes() == block[[active.index(key) for key in keys]].tobytes()
+        if not has_cycle:  # the oracle walks parent links, which never end on a cycle
+            for row, (user, period) in enumerate(active):
+                expected = naive_user_period_features(user, period, entries,
+                                                      partition.cutoffs, stances.stance)
+                assert tuple(tuple(block[row].tolist()) for block in full) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_first_unlabeled_offender_named_as_before(self, data):
+        entries, _ = data.draw(hostile_forests())
+        partition = TimePartition((0, 100, 200))
+        forest = build_forest(entries)
+        active = sorted({(e.author, partition.period_of(e.timestamp)) for e in entries
+                         if partition.period_of(e.timestamp) is not None})
+        stances = assignment({key: data.draw(st.sampled_from(STANCE_ORDER)) for key in active
+                              if data.draw(st.booleans())})
+        index = build_period_user_index(forest, partition, stances)
+        keys = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=6))
+        for call, message in zip((compute_fs2, compute_fs3),
+                                 expected_offenders(forest, partition, stances, keys)):
+            if message is None:
+                call(keys, forest, index, stances)
+            else:
+                with pytest.raises(ValueError) as raised:
+                    call(keys, forest, index, stances)
+                assert str(raised.value) == message
+
+
 class TestIndexChecks:
     def test_index_of_another_assignment_rejected(self):
         forest, index, stances = build_case()
@@ -677,6 +788,14 @@ class TestIndexChecks:
             compute_fs2(keys, forest, index, stances)
         with pytest.raises(ValueError, match="^1 entr\\(ies\\) of thread 'p0'" + tail):
             compute_fs3(keys, forest, index, stances)
+
+    def test_no_active_key(self):
+        # Every entry falls outside the range: no rows, and each block keeps its width.
+        forest = build_forest([Entry("a", "amy", "", 500), Entry("b", "ben", "", 600, "a")])
+        tables = extract_all(forest, TimePartition((0, 100)), assignment({}),
+                             sets=("FS1", "FS2", "FS3", "FS4"))
+        assert {s: t.values.shape for s, t in tables.items()} == {
+            "FS1": (0, 10), "FS2": (0, 21), "FS3": (0, 18), "FS4": (0, 43)}
 
     def test_child_earlier_than_parent_rejected(self):
         forest, _, stances = build_case()

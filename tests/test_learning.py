@@ -14,6 +14,7 @@ from stancecast.learning import cv
 from stancecast.learning.classifiers import (
     DEFAULT_SPACES,
     FAMILIES,
+    check_rows,
     sample_params,
     train_predict,
 )
@@ -133,6 +134,15 @@ class TestFamilies:
         y[5] = label
         with pytest.raises(ValueError, match=rf"training labels must lie in \[0, 3\), got {label}"):
             train_predict(family, {}, X, y, X, n_classes=3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_label_per_row_required(self, family):
+        X, y = blobs(seed=1, classes=3, d=3)
+        n = len(y)
+        with pytest.raises(ValueError, match=rf"{n} rows but {n - 1} labels"):
+            train_predict(family, {}, X, y[:-1], X, n_classes=3)
+        with pytest.raises(ValueError, match=rf"{n - 1} rows but {n} labels"):
+            check_rows(X[:-1], y, X)
 
     def test_determinism_per_family(self):
         X, y = blobs(seed=8, classes=3, d=4, n=30)
