@@ -215,9 +215,6 @@ class PeriodUserIndex:
         rows = [self.keys.get((user, period), -1) for user, period in keys]
         if -1 in rows:
             raise ValueError("user {!r} is not active in period {}".format(*keys[rows.index(-1)]))
-        if len(rows) == 1:  # one key's entries are one slice
-            at = self.entries[self.starts[rows[0]]:self.starts[rows[0] + 1]]
-            return np.zeros(len(at), dtype=np.int64), at
         rows = np.array(rows, dtype=np.int64)
         stop = self.starts[rows + 1]
         count = stop - self.starts[rows]
@@ -243,7 +240,11 @@ def build_period_user_index(
     n = len(order)
     position = dict(zip(order, range(n)))
     entries = [forest.entry_index[eid] for eid in order]
-    timestamp = np.array([e.timestamp for e in entries], dtype=np.int64)
+    try:
+        timestamp = np.array([e.timestamp for e in entries], dtype=np.int64)
+    except OverflowError:
+        wide = next(e.id for e in entries if not -2**63 <= e.timestamp < 2**63)
+        raise ValueError(f"entry {wide!r} has a timestamp outside the int64 range") from None
     names = sorted({e.author for e in entries})
     code = dict(zip(names, range(len(names))))
     author = np.array([code[e.author] for e in entries], dtype=np.int64)
@@ -270,7 +271,7 @@ def build_period_user_index(
     slots = np.full((len(names), partition.n_periods + 1), _UNLABELED, dtype=np.int64)
     for (user, j), stance in stances.stance.items():
         if user in code and 0 <= j < partition.n_periods:
-            slots[code[user], j] = STANCE_ORDER.index(stance)
+            slots[code[user], j] = STANCE_INDEX[stance]
     inside = np.flatnonzero(period >= 0)
     by_period = inside[np.argsort(period[inside], kind="stable")]
     prefix = np.zeros((len(by_period) + 1, _UNLABELED + 1), dtype=np.int64)
@@ -305,14 +306,12 @@ def _require_labeled(unlabeled: np.ndarray, rows: np.ndarray, keys: Sequence[Key
 def compute_fs1(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserIndex) -> np.ndarray:
     """Activity features per key: initiated posts, submitted comments, reply quantiles."""
     rows, at = index.gather(keys)
-    post, counted = index.is_post[at], index.counted[at]
-    rows, at = rows[counted], at[counted]
-    block = np.empty((len(keys), 7))
-    block[:, 0] = np.bincount(rows[post[counted]], minlength=len(keys))
-    block[:, 1] = np.bincount(rows[~post[counted]], minlength=len(keys))
+    rows, at = rows[index.counted[at]], at[index.counted[at]]  # every post is counted
+    post = index.is_post[at]
     replies = index.tally(index.period[at], at + 1, index.end[at]).sum(axis=1)
-    block[:, 2:] = grouped_quantiles5(rows, replies, len(keys))
-    return block
+    return np.column_stack([np.bincount(rows[post], minlength=len(keys)),
+                            np.bincount(rows[~post], minlength=len(keys)),
+                            grouped_quantiles5(rows, replies, len(keys))])
 
 
 def compute_fs2(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserIndex,
@@ -326,10 +325,9 @@ def compute_fs2(keys: Sequence[Key], forest: ThreadForest, index: PeriodUserInde
     rows, at = index.gather(keys)
     rows, at = rows[index.counted[at]], at[index.counted[at]]
     tallies = index.tally(index.period[at], at + 1, index.end[at])
-    _require_labeled(tallies[:, _UNLABELED], rows, keys, "in-period repl(ies) to",
-                     name=lambda i: index.order[at[i]],
-                     order=lambda i: (forest.entry_index[index.order[at[i]]].timestamp,
-                                      index.order[at[i]]))
+    eid = lambda i: index.order[at[i]]
+    _require_labeled(tallies[:, _UNLABELED], rows, keys, "in-period repl(ies) to", eid,
+                     lambda i: (forest.entry_index[eid(i)].timestamp, eid(i)))
     comment = ~index.is_post[at]
     parent = index.parent[at[comment]]
     author = index.author[parent]

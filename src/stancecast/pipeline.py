@@ -206,8 +206,10 @@ def _build_ingest(config: PipelineConfig) -> Files:
     except OSError as exc:
         raise PipelineError(f"cannot read input {config.input}: {exc}") from exc
     forest = build_forest(parsed.entries)
-    if forest.broken_cycles:
-        log.warning("broke %d parent-link cycle entrie(s)", forest.broken_cycles)
+    if forest.broken_cycles:  # re-rooted cycle entries: orphan roots whose parent is present
+        cycle = sorted(eid for eid in forest.orphan_roots
+                       if forest.entry_index[eid].parent_id in forest.entry_index)
+        log.warning("broke %d parent-link cycle entrie(s): %s", forest.broken_cycles, cycle[:10])
     partition = TimePartition.from_iso_dates(config.periods)
     repaired = sorted(forest.entry_index.values(), key=lambda e: (e.timestamp, e.id))
     result = partition_periods(repaired, partition)

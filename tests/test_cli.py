@@ -167,7 +167,8 @@ class TestStages:
                 assert run(command, config) == 0, command
             warned[command] = [r.getMessage() for r in caplog.records
                                if r.levelno >= logging.WARNING and "cycle" in r.getMessage()]
-        assert warned == {"ingest": ["broke 2 parent-link cycle entrie(s)"],
+        assert warned == {"ingest": ["broke 2 parent-link cycle entrie(s): "
+                                             "['loop_a', 'loop_b']"],
                           "label": [], "features": []}
         diagnostics = json.loads((tmp_path / "ingest_diagnostics.json").read_text())
         assert diagnostics["broken_cycles"] == 2

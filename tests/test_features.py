@@ -803,6 +803,11 @@ class TestIndexChecks:
         with pytest.raises(ValueError, match="earlier than its parent"):
             build_period_user_index(forest, TimePartition((0, 100)), stances)
 
+    def test_timestamp_beyond_int64_rejected(self):
+        forest = build_forest([Entry("big", "amy", "x", 2**63, None)])
+        with pytest.raises(ValueError, match="'big' has a timestamp outside the int64 range"):
+            build_period_user_index(forest, TimePartition((0, 100)), StanceAssignment({}))
+
 
 class TestInvariants:
     def test_identities_on_random_corpora(self):
