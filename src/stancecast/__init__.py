@@ -32,7 +32,6 @@ from .stance import (
     Stance,
     StanceAssignment,
     label_period_users,
-    leave_score,
     nb_leave_probability,
     select_weak_labels,
     stance_from_probability,

@@ -150,8 +150,9 @@ class PipelineConfig:
         return config
 
     def require_input(self) -> None:
-        if not self.input.exists():
-            raise ConfigError(f"input path does not exist: {self.input}")
+        if not self.input.is_file():
+            problem = "is not a regular file" if self.input.exists() else "does not exist"
+            raise ConfigError(f"input path {problem}: {self.input}")
 
     def load_lexicon(self) -> HashtagLexicon:
         """The configured hashtag lexicon, or the default; one that cannot be read is a config error."""

@@ -69,10 +69,6 @@ class ParseResult:
     malformed: int = 0
     duplicates: int = 0
 
-    @property
-    def warnings(self) -> int:
-        return self.malformed + self.duplicates
-
 
 def parse_entries(lines: Iterable[str]) -> ParseResult:
     """Parse line-delimited JSON records into entries.
@@ -101,10 +97,7 @@ def parse_entries(lines: Iterable[str]) -> ParseResult:
         except (json.JSONDecodeError, RecursionError, UnicodeEncodeError):
             malformed += 1
             continue
-        if not isinstance(record, dict):
-            malformed += 1
-            continue
-        entry = _entry_from_record(record)
+        entry = _entry_from_record(record) if isinstance(record, dict) else None
         if entry is None:
             malformed += 1
             continue
@@ -126,9 +119,7 @@ def _entry_from_record(record: dict) -> Optional[Entry]:
         return None
     if "author" not in record:
         return None
-    author = record["author"]
-    if author is None:
-        author = SENTINEL_AUTHOR
+    author = SENTINEL_AUTHOR if record["author"] is None else record["author"]
     if not isinstance(author, str) or not _TSV_BREAKING_CHARS.isdisjoint(author):
         return None
     try:
@@ -187,7 +178,6 @@ class ThreadForest:
     roots: list[str] = field(default_factory=list)
     children: dict[str, list[str]] = field(default_factory=dict)
     entry_index: dict[str, Entry] = field(default_factory=dict)
-    thread_of: dict[str, str] = field(default_factory=dict)
     order: list[str] = field(default_factory=list)
     orphan_roots: frozenset[str] = frozenset()
     repaired_timestamps: int = 0
@@ -208,23 +198,13 @@ def build_forest(entries: list[Entry]) -> ThreadForest:
             raise ValueError(f"duplicate entry id {entry.id!r}")
         index[entry.id] = entry
 
-    orphans: set[str] = set()
-    parent_link: dict[str, str] = {}
-    for entry in entries:
-        if entry.parent_id is None:
-            continue
-        if entry.parent_id in index:
-            parent_link[entry.id] = entry.parent_id
-        else:
-            orphans.add(entry.id)
-
+    parent_link = {e.id: e.parent_id for e in entries if e.parent_id in index}
     cycle_members = _find_cycle_members(parent_link)
     if cycle_members:
         log.debug("broke %d parent-link cycle entrie(s): %s",
                   len(cycle_members), sorted(cycle_members)[:10])
         for node in cycle_members:
             del parent_link[node]
-            orphans.add(node)
 
     children: dict[str, list[str]] = {eid: [] for eid in index}
     root_ids = [eid for eid in index if eid not in parent_link]
@@ -236,12 +216,10 @@ def build_forest(entries: list[Entry]) -> ThreadForest:
     repaired = 0
     order_key = lambda eid: (index[eid].timestamp, eid)
     root_ids.sort(key=order_key)
-    thread_of: dict[str, str] = {}
     order: list[str] = []
-    stack = [(rid, rid) for rid in reversed(root_ids)]
+    stack = root_ids[::-1]
     while stack:
-        eid, root = stack.pop()
-        thread_of[eid] = root
+        eid = stack.pop()
         order.append(eid)
         parent_ts = index[eid].timestamp
         for child in children[eid]:
@@ -249,16 +227,14 @@ def build_forest(entries: list[Entry]) -> ThreadForest:
                 index[child] = replace(index[child], timestamp=parent_ts)
                 repaired += 1
         children[eid].sort(key=order_key)
-        for child in reversed(children[eid]):
-            stack.append((child, root))
+        stack.extend(reversed(children[eid]))
 
     return ThreadForest(
         roots=root_ids,
         children=children,
         entry_index=index,
-        thread_of=thread_of,
         order=order,
-        orphan_roots=frozenset(orphans),
+        orphan_roots=frozenset(eid for eid in root_ids if index[eid].parent_id is not None),
         repaired_timestamps=repaired,
         broken_cycles=len(cycle_members),
     )
@@ -269,8 +245,6 @@ def _find_cycle_members(parent_link: dict[str, str]) -> set[str]:
     state: dict[str, int] = {}  # 1 = on current walk, 2 = resolved
     members: set[str] = set()
     for start in sorted(parent_link):
-        if state.get(start):
-            continue
         walk: list[str] = []
         node = start
         while node in parent_link and not state.get(node):
@@ -297,18 +271,16 @@ def extract_diffusions(forest: ThreadForest, root: str) -> list[Diffusion]:
     """Enumerate all root-to-leaf paths of the thread at `root`."""
     if root not in forest.entry_index:
         raise KeyError(f"unknown entry id {root!r}")
-    if forest.thread_of[root] != root:
+    if forest.entry_index[root].parent_id is not None and root not in forest.orphan_roots:
         raise ValueError(f"entry {root!r} is not a thread root")
     diffusions: list[Diffusion] = []
-    stack: list[tuple[str, tuple[str, ...]]] = [(root, (root,))]
+    stack = [(root,)]
     while stack:
-        node, path = stack.pop()
-        kids = forest.children[node]
+        path = stack.pop()
+        kids = forest.children[path[-1]]
         if not kids:
             diffusions.append(Diffusion(entries=path))
-            continue
-        for child in reversed(kids):
-            stack.append((child, path + (child,)))
+        stack.extend(path + (child,) for child in reversed(kids))
     return diffusions
 
 

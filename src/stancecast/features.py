@@ -19,7 +19,6 @@ import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from math import log as ln
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -250,21 +249,20 @@ def build_period_user_index(
     author = np.array([code[e.author] for e in entries], dtype=np.int64)
     parent = np.array([position.get(e.parent_id, -1) for e in entries], dtype=np.int64)
 
-    children = [forest.children[eid] for eid in order]
-    kids = np.array([len(c) for c in children], dtype=np.int64)
-    child = np.array([position[c] for c in chain.from_iterable(children)], dtype=np.int64)
-    up = np.repeat(np.arange(n), kids)
+    root = np.zeros(n, dtype=bool)
+    root[[position[eid] for eid in forest.roots]] = True
+    child = np.flatnonzero(~root)
+    up = parent[child]  # build_forest links a non-root to the entry its parent_id names
     late = np.flatnonzero(timestamp[child] < timestamp[up])
     if late.size:  # name the first child of the last parent in pre-order
-        first = late[np.argmax(up[late] == up[late[-1]])]
+        first = late[np.argmax(up[late] == up[late].max())]
         raise ValueError(f"entry {order[child[first]]!r} is earlier than its parent "
                          f"{order[up[first]]!r}; the forest must come from build_forest")
     # A subtree ends at the leaf reached by following last children, in doubling jumps.
     last = np.arange(n)
-    last[kids > 0] = child[np.cumsum(kids)[kids > 0] - 1]
+    np.maximum.at(last, up, child)
     while not np.array_equal(jump := last[last], last):
         last = jump
-    root = np.bincount(child, minlength=n) == 0
 
     period = np.searchsorted(partition.cutoffs, timestamp, side="right") - 1
     period[period == partition.n_periods] = -1

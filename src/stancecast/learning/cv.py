@@ -196,9 +196,9 @@ def nested_cv(
     The tasks run in two passes, every fold's search and then every fold's
     refit, on one forked worker per CPU in this process's affinity mask
     (inline when that is one CPU, or the platform cannot fork). The result
-    is the same bytes either way. Any other error in a fit propagates, and
-    a worker that dies ends the call with
-    `concurrent.futures.process.BrokenProcessPool`.
+    is the same bytes either way. Any other error in a fit propagates and
+    terminates the workers, whatever tasks they hold; a worker that dies ends
+    the call with `concurrent.futures.process.BrokenProcessPool`.
     """
     check_cv_params(outer_k, inner_k, search_iters)
     for name in ("y", "current", "users", "periods"):
@@ -238,8 +238,13 @@ def nested_cv(
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_init_worker, initargs=context) as pool:
-            fold_results = _run_plans(plans, partial(pool.map, _task_in_worker),
-                                      y, spec.family, search_iters)
+            try:
+                fold_results = _run_plans(plans, partial(_submitted, pool),
+                                          y, spec.family, search_iters)
+            except BaseException:  # end the tasks workers hold (3.14 adds terminate_workers)
+                for worker in list(pool._processes.values()):
+                    worker.terminate()
+                raise
 
     pooled_pred = np.full(n, -1, dtype=np.int64)
     for plan, (_, preds) in zip(plans, fold_results):
@@ -444,6 +449,13 @@ def _init_worker(*context) -> None:
 
 def _task_in_worker(task):
     return _run_task(*_worker_context, task)
+
+
+def _submitted(pool: ProcessPoolExecutor, tasks: Iterable) -> Iterator:
+    """Submit every task now; yield the outcomes in order. Unlike `pool.map`, cancel no
+    future on an error: Python 3.10-3.11 trip over one once the workers are terminated."""
+    futures = [pool.submit(_task_in_worker, task) for task in tasks]
+    return (future.result() for future in futures)
 
 
 def _check_partition(folds: Sequence[Sequence[int]], n: int) -> None:

@@ -19,7 +19,7 @@ import tempfile
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from . import corpus as corpus_mod
 from .config import PipelineConfig
@@ -86,6 +86,7 @@ def _lines(lines: list[str]) -> str:
 
 
 Files = Iterable[tuple[str, str | Iterable[str]]]  # (name, text or its chunks), one at a time
+T = TypeVar("T")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,9 +172,13 @@ def _load_corpus(config: PipelineConfig) -> tuple[list[Entry], TimePartition]:
         return parse_entries(handle).entries, TimePartition.from_iso_dates(config.periods)
 
 
-def _load_stances(config: PipelineConfig) -> StanceAssignment:
-    with _open_artifact(config, "label", "stances.tsv") as handle:
-        return StanceAssignment.from_tsv(handle.read())
+def _parse_artifact(config: PipelineConfig, stage: str, name: str, parse: Callable[[str], T]) -> T:
+    """`parse` the text of an artifact that `stage` wrote; its `ValueError` names the file."""
+    with _open_artifact(config, stage, name) as handle:
+        try:
+            return parse(handle.read())
+        except ValueError as exc:
+            raise PipelineError(f"{handle.name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,10 @@ def _build_synth(config: PipelineConfig) -> Files:
 
 def _ingest_key(config: PipelineConfig) -> dict:
     config.require_input()
-    return {"input": _file_digest(config.input), "periods": list(config.periods)}
+    try:
+        return {"input": _file_digest(config.input), "periods": list(config.periods)}
+    except OSError as exc:
+        raise PipelineError(f"cannot read input {config.input}: {exc}") from exc
 
 
 def _build_ingest(config: PipelineConfig) -> Files:
@@ -337,7 +345,7 @@ def _build_label(config: PipelineConfig) -> Files:
 
 def _build_features(config: PipelineConfig) -> Files:
     entries, partition = _load_corpus(config)
-    stances = _load_stances(config)
+    stances = _parse_artifact(config, "label", "stances.tsv", StanceAssignment.from_tsv)
     forest = build_forest(entries)
     sets = config.features.sets
     parts = {s: UNION_PARTS.get(s, (s,)) for s in sets}
@@ -396,11 +404,8 @@ def _feature_tables(config: PipelineConfig) -> Iterator[tuple[str, FeatureTable]
 
     def read(set_id: str) -> FeatureTable:
         if set_id not in parsed:
-            with _open_artifact(config, "features", f"features_{set_id}.tsv") as handle:
-                try:
-                    parsed[set_id] = feature_table_from_tsv(handle.read())
-                except ValueError as exc:
-                    raise PipelineError(f"{handle.name}: {exc}") from exc
+            parsed[set_id] = _parse_artifact(config, "features", f"features_{set_id}.tsv",
+                                             feature_table_from_tsv)
         left[set_id] -= 1
         return parsed[set_id] if left[set_id] else parsed.pop(set_id)
 
@@ -421,7 +426,7 @@ def _feature_tables(config: PipelineConfig) -> Iterator[tuple[str, FeatureTable]
 
 
 def _build_evaluate(config: PipelineConfig) -> Files:
-    stances = _load_stances(config)
+    stances = _parse_artifact(config, "label", "stances.tsv", StanceAssignment.from_tsv)
     params = config.learning
     combos, skipped = [], []
     for set_id, table in _feature_tables(config):

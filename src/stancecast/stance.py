@@ -80,12 +80,6 @@ class HashtagLexicon:
         return cls(pro=frozenset(sections["pro"]), against=frozenset(sections["against"]))
 
 
-def leave_score(documents: Iterable[str], lexicon: HashtagLexicon) -> int:
-    """Pro-hashtag occurrences minus against-hashtag occurrences."""
-    return sum((tag in lexicon.pro) - (tag in lexicon.against)
-               for text in documents for tag in extract_hashtags(text))
-
-
 @dataclass(frozen=True)
 class UserStats:
     messages: int
@@ -271,16 +265,18 @@ class StanceAssignment:
 
     @classmethod
     def from_tsv(cls, text: str) -> "StanceAssignment":
+        """Parse `to_tsv`'s text; a row that does not fit raises `ValueError` naming its line."""
         assignment = cls()
-        rows = text.splitlines()
-        for row in rows[1:]:
-            if not row.strip():
-                continue
-            user, period, prob, stance = row.split("\t")
-            key = (user, int(period))
-            assignment.stance[key] = Stance(stance)
-            if prob:
-                assignment.probability[key] = float(prob)
+        for number, row in enumerate(text.splitlines()[1:], start=2):
+            if row.strip():
+                try:
+                    user, period, prob, stance = row.split("\t")
+                    key = (user, int(period))
+                    assignment.stance[key] = Stance(stance)
+                    if prob:
+                        assignment.probability[key] = float(prob)
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
         return assignment
 
 

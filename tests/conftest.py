@@ -44,6 +44,14 @@ def random_stances(rng: random.Random, entries, partition: TimePartition) -> Sta
     return assignment
 
 
+def thread_root(forest, eid: str) -> str:
+    """The root of `eid`'s thread: follow parent links up to one of `forest.roots`."""
+    roots = set(forest.roots)
+    while eid not in roots:
+        eid = forest.entry_index[eid].parent_id
+    return eid
+
+
 @pytest.fixture
 def fig_forest():
     return build_forest(make_fig_entries())

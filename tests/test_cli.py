@@ -66,6 +66,34 @@ class TestStages:
         config = write_config(tmp_path, input=str(tmp_path / "nope.jsonl"))
         assert run("ingest", config) == 2
 
+    def test_input_that_is_not_a_file_is_config_error(self, pipeline_dir, capsys):
+        # Every stage after synth computes ingest's key, which reads the input.
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features", "evaluate", "report"):
+            assert run(command, config) == 0, command
+        hashes = {path.name: path.read_bytes() for path in tmp_path.glob("*.hash")}
+        for command in ("ingest", "profile", "label", "features", "evaluate", "report"):
+            capsys.readouterr()
+            assert run(command, config, "--set", f"input={tmp_path}") == 2, command
+            assert capsys.readouterr().err == \
+                f"config error: input path is not a regular file: {tmp_path}\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.glob("*.hash")} == hashes
+
+    def test_unreadable_input_fails_in_one_line(self, pipeline_dir, monkeypatch, capsys):
+        import stancecast.pipeline as pipeline_mod
+        tmp_path, config = pipeline_dir
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(pipeline_mod, "_file_digest", denied)
+        capsys.readouterr()
+        assert run("ingest", config) == 1
+        path = tmp_path / "synthetic.jsonl"
+        assert capsys.readouterr().err == \
+            f"error: cannot read input {path}: [Errno 13] Permission denied: '{path}'\n"
+        assert not (tmp_path / "ingest.hash").exists()
+
     def test_label_and_profile_need_the_input(self, pipeline_dir, capsys):
         # Both check ingest's key, which hashes the input file.
         tmp_path, config = pipeline_dir
@@ -242,6 +270,24 @@ class TestStages:
         with pytest.raises(PipelineError, match="line 2"):
             run_stage(PipelineConfig.from_file(config), "evaluate")
         assert run("evaluate", config) == 1
+
+    @pytest.mark.parametrize("stage, change", [("features", "features.vocab_size=21"),
+                                               ("evaluate", "learning.search_iters=3")])
+    def test_bad_stances_row_names_the_file_and_line(self, pipeline_dir, capsys, stage, change):
+        # The changed key makes `stage` run again over a stances.tsv with a bad
+        # fourth line; it fails before it touches its artifacts or its hash.
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features", "evaluate"):
+            assert run(command, config) == 0, command
+        stances = tmp_path / "stances.tsv"
+        lines = stances.read_text().splitlines()
+        stances.write_text("\n".join(lines[:3] + ["bad row"] + lines[3:]) + "\n")
+        hashes = {path.name: path.read_bytes() for path in tmp_path.glob("*.hash")}
+        capsys.readouterr()
+        assert run(stage, config, "--set", change) == 1
+        assert capsys.readouterr().err == (f"error: {stances}: line 4: not enough values "
+                                           "to unpack (expected 4, got 1)\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.glob("*.hash")} == hashes
 
     def test_failing_fit_in_a_worker_is_skipped_as_inline(self, pipeline_dir, monkeypatch):
         from stancecast.learning import cv

@@ -33,7 +33,7 @@ class TestParseEntries:
         lines = [record(id=f"e{i}", created_utc=10 + i) for i in range(3)]
         result = parse_entries(lines)
         assert len(result.entries) == 3
-        assert result.warnings == 0
+        assert result.malformed == result.duplicates == 0
         assert [e.id for e in result.entries] == ["e0", "e1", "e2"]
 
     def test_missing_author_is_skipped_with_warning(self):
@@ -41,7 +41,7 @@ class TestParseEntries:
         result = parse_entries([record(id="e0"), bad])
         assert len(result.entries) == 1
         assert result.malformed == 1
-        assert result.warnings == 1
+        assert result.duplicates == 0
 
     def test_duplicate_id_keeps_first(self):
         result = parse_entries([record(id="e0", body="first"),
@@ -55,7 +55,7 @@ class TestParseEntries:
                                 record(id="e1", author=""),
                                 record(id="e2", author=None)])
         assert all(e.author == SENTINEL_AUTHOR for e in result.entries)
-        assert result.warnings == 0
+        assert result.malformed == result.duplicates == 0
 
     def test_garbage_lines_counted(self):
         result = parse_entries(["not json", record(id="e0"), "{\"id\": 3}"])
@@ -183,6 +183,26 @@ class TestDiffusions:
         with pytest.raises(ValueError):
             extract_diffusions(fig_forest, "n3")
 
+    def test_every_root_and_only_roots_accepted(self):
+        # Posts with replies, an orphan whose parent is missing, and a
+        # two-entry cycle: build_forest roots the posts, the orphan and both
+        # cycle entries, and each path follows the (timestamp, id) child order.
+        entries = [Entry("x", "u", "", 50, "y"), Entry("c1", "u", "", 30, "p1"),
+                   Entry("c2", "u", "", 25, "p1"), Entry("c3", "u", "", 40, "c1"),
+                   Entry("c4", "u", "", 35, "c1"), Entry("p2", "u", "", 20),
+                   Entry("o", "u", "", 15, "gone"), Entry("o1", "u", "", 16, "o"),
+                   Entry("y", "u", "", 45, "x"), Entry("z", "u", "", 60, "x"),
+                   Entry("p1", "u", "", 10)]
+        forest = build_forest(entries)
+        assert forest.roots == ["p1", "o", "p2", "y", "x"]
+        assert {root: [d.entries for d in extract_diffusions(forest, root)]
+                for root in forest.roots} == {
+            "p1": [("p1", "c2"), ("p1", "c1", "c4"), ("p1", "c1", "c3")],
+            "o": [("o", "o1")], "p2": [("p2",)], "y": [("y",)], "x": [("x", "z")]}
+        for eid in sorted(set(forest.entry_index) - set(forest.roots)):
+            with pytest.raises(ValueError, match=rf"^entry '{eid}' is not a thread root$"):
+                extract_diffusions(forest, eid)
+
     def test_temporal_ordering_holds_after_repair(self):
         rng = random.Random(3)
         entries = [Entry("r", "u", "", 500)]
@@ -263,6 +283,28 @@ class TestDiffusionInvariants:
                 covered.update(d.entries)
             assert covered == set(forest.entry_index)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 11), st.integers(0, 50)),
+                    min_size=1, max_size=10, unique_by=lambda row: row[0]))
+    def test_roots_of_forests_with_cycles_and_dangling_parents(self, rows):
+        # Parent 10 is missing from the corpus and 11 means a post; any other
+        # parent may close a cycle. Only `forest.roots` are accepted, and each
+        # root's paths are the recursive walk over the child lists, in order.
+        entries = [Entry(f"e{i}", "u", "", stamp, None if up in (i, 11) else f"e{up}")
+                   for i, up, stamp in rows]
+        forest = build_forest(entries)
+
+        def walk(eid):
+            kids = forest.children[eid]
+            return [(eid, *rest) for kid in kids for rest in walk(kid)] or [(eid,)]
+
+        for eid in forest.entry_index:
+            if eid in forest.roots:
+                assert [d.entries for d in extract_diffusions(forest, eid)] == walk(eid)
+            else:
+                with pytest.raises(ValueError, match=rf"^entry '{eid}' is not a thread root$"):
+                    extract_diffusions(forest, eid)
+
 
 class TestPartition:
     def test_basic_assignment(self):
@@ -321,7 +363,7 @@ def test_jsonl_round_trip():
     text = entries_to_jsonl(entries)
     parsed = parse_entries(text.splitlines())
     assert parsed.entries == entries
-    assert parsed.warnings == 0
+    assert parsed.malformed == parsed.duplicates == 0
 
 
 _RECORDS = st.lists(st.fixed_dictionaries({

@@ -12,8 +12,11 @@ import dataclasses
 import hashlib
 import json
 import logging
+import multiprocessing
 from collections import Counter
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -419,3 +422,31 @@ def test_unexpected_fit_error_propagates(workers, monkeypatch):
     with pytest.raises(RuntimeError, match="the fit broke"):
         nested_cv(rows(8), ClassifierSpec("gaussian_nb"), outer_k=3, inner_k=2,
                   search_iters=3, seed=8)
+
+
+def test_first_fit_error_stops_the_pool(two_workers, tmp_path, monkeypatch):
+    # The first search fit breaks. Every other fit logs itself and sleeps, so
+    # the other worker still holds a search task of five fits when the error
+    # reaches the parent. The pool stops there: no worker outlives the call,
+    # the executor's own thread raises nothing, and the task the other worker
+    # holds never reaches its last fit.
+    log = CallLog(tmp_path / "calls.tsv")
+    broken_seed = _candidate_seed(8, 0, 0)
+
+    def breaking(family, params, X, y, X_eval, seed=0):
+        log.record("fit", seed)
+        if seed == broken_seed:
+            raise RuntimeError("the fit broke")
+        time.sleep(0.5)
+        return np.zeros(len(X_eval), dtype=np.int64)
+
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    monkeypatch.setattr(cv, "train_predict", breaking)
+    monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: 2)
+    with pytest.raises(RuntimeError, match="the fit broke"):
+        nested_cv(rows(8), ClassifierSpec("random_forest", SPACES["random_forest"]),
+                  outer_k=4, inner_k=3, search_iters=5, seed=8)
+    assert multiprocessing.active_children() == [] and thread_errors == []
+    seeds = [seed for _, seed in log.lines()]
+    assert seeds.count(str(broken_seed)) == 1 and len(seeds) < 1 + 5

@@ -40,7 +40,7 @@ from stancecast.features import (
 from stancecast.stance import STANCE_ORDER, Stance, StanceAssignment
 from stancecast.synth import SyntheticConfig, generate_synthetic_corpus
 
-from conftest import ingestible_author, random_stances, random_tree_entries
+from conftest import ingestible_author, random_stances, random_tree_entries, thread_root
 
 A, N, P = Stance.AGAINST, Stance.NEUTRAL, Stance.PRO
 
@@ -701,7 +701,7 @@ def expected_offenders(forest, partition, stances, keys):
         counted = sorted((e for e in mine if e.parent_id not in forest.entry_index
                           or forest.entry_index[e.parent_id].author != user),
                          key=lambda e: (e.timestamp, e.id))
-        threads = sorted({forest.thread_of[e.id] for e in mine})
+        threads = sorted({thread_root(forest, e.id) for e in mine})
         tail = (f" have an author with no stance labeled in period {j}; "
                 "labeling must precede feature extraction")
         fs2 = fs2 or next((f"{n} in-period repl(ies) to {e.id!r}{tail}" for e in counted

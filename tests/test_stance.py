@@ -14,7 +14,6 @@ from stancecast.stance import (
     UserStats,
     collect_user_stats,
     label_period_users,
-    leave_score,
     nb_leave_probability,
     select_weak_labels,
     stance_from_probability,
@@ -56,16 +55,24 @@ class TestLexicon:
         assert lex.pro == {"leaveeu"} and lex.against == {"remain"}
 
 
+def one_user(texts, lexicon=LEX):
+    """`collect_user_stats` of the one user who wrote `texts`."""
+    entries = [Entry(f"e{i}", "amy", text, i) for i, text in enumerate(texts)]
+    return collect_user_stats(entries, lexicon)["amy"]
+
+
 class TestLeaveScore:
+    """The leave score is a user's `pro_tags - against_tags`."""
+
     def test_difference_of_occurrences(self):
         docs = ["#out #out now", "#leaveeu", "#remain though"]
-        assert leave_score(docs, LEX) == 2
+        assert one_user(docs) == UserStats(messages=3, pro_tags=3, against_tags=1)
 
     def test_no_lexicon_tags(self):
-        assert leave_score(["nothing here", "#offtopic"], LEX) == 0
+        assert one_user(["nothing here", "#offtopic"]) == UserStats(2, 0, 0)
 
     def test_balanced_usage(self):
-        assert leave_score(["#out #remain #out #stay"], LEX) == 0
+        assert one_user(["#out #remain #out #stay"]) == UserStats(1, 2, 2)
 
     def test_antisymmetric_under_lexicon_swap(self):
         swapped = HashtagLexicon(pro=LEX.against, against=LEX.pro)
@@ -74,7 +81,9 @@ class TestLeaveScore:
         for _ in range(25):
             docs = [" ".join(rng.choices(tags, k=rng.randint(0, 6)))
                     for _ in range(rng.randint(1, 4))]
-            assert leave_score(docs, LEX) == -leave_score(docs, swapped)
+            stats = one_user(docs)
+            assert one_user(docs, swapped) == UserStats(stats.messages, stats.against_tags,
+                                                        stats.pro_tags)
 
 
 def stats(messages, score, extra=0):
@@ -298,6 +307,19 @@ def test_tsv_round_trip_over_ingestible_authors(truth):
     assert StanceAssignment.from_tsv(assignment.to_tsv()).stance == truth
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("bad row", "not enough values to unpack"),
+    ("amy\t1\t0.5\tP\textra", "too many values to unpack"),
+    ("amy\tone\t0.5\tP", "invalid literal for int"),
+    ("amy\t1\t0.5\tX", "'X' is not a valid Stance"),
+    ("amy\t1\thalf\tP", "could not convert string to float"),
+])
+def test_bad_tsv_row_names_its_line(row, problem):
+    text = "user\tperiod\tleave_probability\tstance\nbob\t0\t0.1\tA\n\n" + row + "\n"
+    with pytest.raises(ValueError, match=rf"^line 4: {problem}"):
+        StanceAssignment.from_tsv(text)
+
+
 def test_label_determinism():
     model, entries, partition = _corpus_for_labeling()
     a = label_period_users(model, entries, partition)
@@ -330,9 +352,6 @@ def test_distinct_hashtag_mode_counts_tags_once():
     assert distinct["amy"] == UserStats(messages=2, pro_tags=2, against_tags=1)
     assert occurrences["bob"] == UserStats(messages=2, pro_tags=0, against_tags=4)
     assert distinct["bob"] == UserStats(messages=2, pro_tags=0, against_tags=2)
-    for user, stats in occurrences.items():
-        texts = [e.content for e in entries if e.author == user]
-        assert stats.pro_tags - stats.against_tags == leave_score(texts, LEX)
 
 
 def test_weak_supervised_training_on_separated_vocab():

@@ -12,6 +12,8 @@ from stancecast.synth import (
 )
 from stancecast.textprep import preprocess
 
+from conftest import thread_root
+
 
 def test_invalid_transition_strength_rejected():
     with pytest.raises(ValueError):
@@ -109,14 +111,14 @@ def test_lambda_one_all_pro_thread_forces_pro():
             t = partition.period_of(entry.timestamp)
             if t != period:
                 continue
-            root = forest.thread_of[entry.id]
+            root = thread_root(forest, entry.id)
             thread_stances.setdefault(root, []).append(
                 corpus.stances[(entry.author, period)])
         for entry in corpus.entries:
             t = partition.period_of(entry.timestamp)
             if t != period:
                 continue
-            root = forest.thread_of[entry.id]
+            root = thread_root(forest, entry.id)
             if all(s is Stance.PRO for s in thread_stances[root]):
                 assert corpus.stances[(entry.author, period + 1)] is Stance.PRO
 
@@ -126,7 +128,7 @@ def test_corpus_is_well_formed():
                              hashtag_prob=0.4)
     corpus = generate_synthetic_corpus(config, seed=9)
     parsed = parse_entries(entries_to_jsonl(corpus.entries).splitlines())
-    assert parsed.warnings == 0
+    assert parsed.malformed == parsed.duplicates == 0
     assert parsed.entries == corpus.entries
     forest = build_forest(parsed.entries)
     assert not forest.orphan_roots
@@ -135,7 +137,7 @@ def test_corpus_is_well_formed():
     assert result.discarded == 0
     # threads per period match the config
     for period, ids in result.by_period.items():
-        roots = {forest.thread_of[eid] for eid in ids}
+        roots = {thread_root(forest, eid) for eid in ids}
         assert len(roots) == config.threads_per_period
 
 
