@@ -198,14 +198,6 @@ class PeriodUserIndex:
         return (self.prefix[np.searchsorted(self.sorted_keys, base + hi)]
                 - self.prefix[np.searchsorted(self.sorted_keys, base + lo)])
 
-    @functools.cached_property
-    def replies(self) -> dict[str, tuple[int, int, int, int]]:
-        """Each in-range entry's in-period reply tally, by entry id."""
-        inside = np.flatnonzero(self.period >= 0)
-        return dict(zip([self.order[i] for i in inside.tolist()],
-                        map(tuple, self.tally(self.period[inside], inside + 1,
-                                              self.end[inside]).tolist())))
-
     def users(self, period: int) -> list[str]:
         return [user for user, j in self.keys if j == period]
 

@@ -253,9 +253,13 @@ class RandomForestClassifier:
         size = self._subset_size(X.shape[1])
         self.trees = []
         n = X.shape[0]
+        order, values = presort(X)
         for _ in range(self.n_trees):
-            # Rows in draw order: each node sorts only the columns it draws.
-            tree, _ = grow(X, y, rng.integers(0, n, size=n), n_classes=n_classes,
+            # A bootstrap repeats each presorted row as often as it was drawn.
+            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            repeat = drawn[order].ravel()
+            blocks = tuple(np.repeat(b, repeat).reshape(-1, n) for b in (order, values))
+            tree, _ = grow(X, y, np.repeat(np.arange(n), drawn), blocks, n_classes=n_classes,
                            max_depth=self.max_depth, max_features=size, rng=rng)
             self.trees.append(tree)
         return self

@@ -1,15 +1,13 @@
 """CART-style decision trees on flat arrays: Gini classification and variance regression.
 
-One grower serves both criteria. Each candidate column of a node is a block of
-the node's rows in stable ascending value order. Where every node scores every
-column (boosting), the blocks are pre-sorted once per fit (as in XGBoost) and a
-node hands them to its children through a stable boolean filter; where a node
-draws a few columns of many (random forests), it sorts just those. Either way a
-block has exactly the order of a per-node stable sort, so every prefix sum adds
-the same floats in the same order. A node scores all its candidate columns with
-one cumulative sum per block, at the boundaries between distinct values only.
-Ties keep the first column (within 1e-12) and the first boundary; nodes grow
-depth-first, so feature draws from the rng come in a fixed order.
+One grower and one split search serve both criteria. Each column's rows are
+sorted once per fit (as in XGBoost), a bootstrap repeating a row as often as it
+was drawn; a node scores the blocks of the columns it draws with one cumulative
+sum per block, at the boundaries between distinct values only, and hands its
+blocks to its children through a stable filter. Unrepeated blocks keep the order
+of a per-node stable sort, so residual sums add the same floats in the same
+order; Gini counts are exact in any order. Ties keep the first column (within
+1e-12) and the first boundary; nodes grow depth-first, so rng draws are ordered.
 """
 
 from __future__ import annotations
@@ -51,14 +49,13 @@ class Tree:
         return self.value[node]
 
 
-def grow(X, y, rows, presorted=None, n_classes=None, max_depth=None, max_features=None,
-         rng=None):
+def grow(X, y, rows, presorted, n_classes=None, max_depth=None, max_features=None, rng=None):
     """Grow one tree depth-first from the root's `rows` of X (repeats allowed: a bootstrap).
 
-    With `presorted` (from `presort(X)`, and then `rows` must be every row once),
-    a node scores every column and hands each column's block of its rows to its
-    children. Without, a node draws `max_features` columns (all if None) and
-    stably sorts just those, in the order of its rows. With `n_classes`, y holds
+    `presorted` holds the root's blocks, shape (d, rows.size): each column's rows in
+    stable ascending value order, each as often as `rows` holds it (`presort(X)`
+    for every row once). A node draws `max_features` columns (all if None); only
+    a node that searches filters its parent's blocks. With `n_classes`, y holds
     class indices and nodes split on weighted Gini and stop when pure; without,
     nodes split y's summed squared error. Returns the tree and each row's leaf
     ordinal (-1 for rows outside `rows`).
@@ -69,9 +66,10 @@ def grow(X, y, rows, presorted=None, n_classes=None, max_depth=None, max_feature
     leaves = np.full(X.shape[0], -1, dtype=np.int64)
     nodes = []  # [feature, threshold, left, right, payload]
     n_leaves = 0
-    stack = [(rows, presorted, 0, None)]  # (..., depth, (parent, 2 for left or 3 for right))
+    # (rows, depth, (parent, 2 left or 3 right), parent's blocks, mask of them or None)
+    stack = [(rows, 0, None, presorted, None)]
     while stack:
-        rows, blocks, depth, link = stack.pop()
+        rows, depth, link, blocks, keep = stack.pop()
         if link:
             nodes[link[0]][link[1]] = len(nodes)
         node = [-1, 0.0, -1, -1, -1]
@@ -82,15 +80,13 @@ def grow(X, y, rows, presorted=None, n_classes=None, max_depth=None, max_feature
             stop = stop or int(np.count_nonzero(node[4])) <= 1
         best = None
         if not stop:
-            features = np.arange(d)
-            if blocks is not None:
-                best = _best_split(target, *blocks)
-            else:
-                if max_features is not None and max_features < d:
-                    features = np.sort(rng.choice(d, size=max_features, replace=False))
-                order = np.argsort(X[rows[None, :], features[:, None]], axis=1, kind="stable")
-                drawn = rows[order]
-                best = _best_split(target, drawn, X[drawn, features[:, None]])
+            if keep is not None:
+                blocks = tuple(np.compress(keep, b).reshape(d, rows.size) for b in blocks)
+            features, drawn = np.arange(d), blocks
+            if max_features is not None and max_features < d:
+                features = np.sort(rng.choice(d, size=max_features, replace=False))
+                drawn = (blocks[0][features], blocks[1][features])
+            best = _best_split(target, *drawn)
         if best is None:
             leaves[rows] = n_leaves
             if n_classes is None:
@@ -99,16 +95,11 @@ def grow(X, y, rows, presorted=None, n_classes=None, max_depth=None, max_feature
             continue
         node[0], node[1] = int(features[best[0]]), best[1]
         left = X[rows, node[0]] <= node[1]
-        if blocks is not None:
-            goes_left[rows] = left
-            mask = goes_left[blocks[0]].ravel()
-        if max_depth is not None and depth + 1 >= max_depth:
-            blocks = None  # the children are leaves: rows suffice
+        goes_left[rows] = left
+        mask = goes_left[blocks[0]].ravel()
         parent = len(nodes) - 1
-        for keep, side in ((~left, 3), (left, 2)):
-            child = None if blocks is None else tuple(
-                np.compress(mask if side == 2 else ~mask, b).reshape(d, -1) for b in blocks)
-            stack.append((rows[keep], child, depth + 1, (parent, side)))
+        stack.append((rows[~left], depth + 1, (parent, 3), blocks, ~mask))
+        stack.append((rows[left], depth + 1, (parent, 2), blocks, mask))
     return Tree(nodes), leaves
 
 

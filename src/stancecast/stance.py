@@ -247,6 +247,7 @@ class StanceAssignment:
     stance: dict[tuple[str, int], Stance] = field(default_factory=dict)
     probability: dict[tuple[str, int], float] = field(default_factory=dict)
     oov_rate: dict[int, float] = field(default_factory=dict)
+    _TSV_HEADER = "user\tperiod\tleave_probability\tstance"
 
     def get(self, user: str, period: int) -> Optional[Stance]:
         return self.stance.get((user, period))
@@ -256,7 +257,7 @@ class StanceAssignment:
         return cls(stance=dict(truth))
 
     def to_tsv(self) -> str:
-        lines = ["user\tperiod\tleave_probability\tstance"]
+        lines = [self._TSV_HEADER]
         for (user, period) in sorted(self.stance):
             prob = self.probability.get((user, period))
             prob_text = "" if prob is None else f"{prob:.12g}"
@@ -265,13 +266,20 @@ class StanceAssignment:
 
     @classmethod
     def from_tsv(cls, text: str) -> "StanceAssignment":
-        """Parse `to_tsv`'s text; a row that does not fit raises `ValueError` naming its line."""
+        """Parse `to_tsv`'s text; a bad row, a repeated key or no header raises `ValueError`."""
+        lines = text.splitlines()
+        if lines[:1] != [cls._TSV_HEADER]:
+            raise ValueError("line 1: not the header " + cls._TSV_HEADER.replace("\t", ", "))
         assignment = cls()
-        for number, row in enumerate(text.splitlines()[1:], start=2):
+        first_line: dict[tuple[str, int], int] = {}
+        for number, row in enumerate(lines[1:], start=2):
             if row.strip():
                 try:
                     user, period, prob, stance = row.split("\t")
                     key = (user, int(period))
+                    if first_line.setdefault(key, number) != number:
+                        raise ValueError(f"user {user!r} in period {key[1]} repeats line "
+                                         f"{first_line[key]}")
                     assignment.stance[key] = Stance(stance)
                     if prob:
                         assignment.probability[key] = float(prob)

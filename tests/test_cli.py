@@ -289,6 +289,28 @@ class TestStages:
                                            "to unpack (expected 4, got 1)\n")
         assert {path.name: path.read_bytes() for path in tmp_path.glob("*.hash")} == hashes
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda lines: lines[1:], "line 1: not the header user, period, "
+                                  "leave_probability, stance"),
+        (lambda lines: lines[:4] + [lines[2]] + lines[4:], "line 5: user {} in period {} "
+                                                           "repeats line 3"),
+    ], ids=["no-header", "repeat"])
+    def test_stances_without_header_or_with_a_repeat_fail(self, pipeline_dir, capsys,
+                                                          edit, problem):
+        tmp_path, config = pipeline_dir
+        for command in ("ingest", "label", "features"):
+            assert run(command, config) == 0, command
+        stances = tmp_path / "stances.tsv"
+        lines = stances.read_text().splitlines()
+        user, period = lines[2].split("\t")[:2]
+        stances.write_text("\n".join(edit(lines)) + "\n")
+        hashed = (tmp_path / "features.hash").read_bytes()
+        capsys.readouterr()
+        assert run("features", config, "--set", "features.vocab_size=21") == 1
+        assert capsys.readouterr().err == \
+            f"error: {stances}: {problem.format(repr(user), period)}\n"
+        assert (tmp_path / "features.hash").read_bytes() == hashed
+
     def test_failing_fit_in_a_worker_is_skipped_as_inline(self, pipeline_dir, monkeypatch):
         from stancecast.learning import cv
         tmp_path, config = pipeline_dir

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -215,15 +216,18 @@ class TestDiffusions:
             assert stamps == sorted(stamps)
 
 
-def one_period_index(forest, stances=None):
-    """Reply tallies over one period that holds every entry of the forest."""
+def reply_tallies(forest, stances=None):
+    """Each entry's reply tally by id, over one period that holds every entry."""
     stamps = [e.timestamp for e in forest.entry_index.values()]
     partition = TimePartition((min(stamps), max(stamps) + 1))
-    return build_period_user_index(forest, partition, stances or StanceAssignment())
+    index = build_period_user_index(forest, partition, stances or StanceAssignment())
+    inside = np.flatnonzero(index.period >= 0)
+    tallies = index.tally(index.period[inside], inside + 1, index.end[inside])
+    return dict(zip([index.order[i] for i in inside.tolist()], map(tuple, tallies.tolist())))
 
 
 def subtree_reply_count(forest, entry_id):
-    return sum(one_period_index(forest).replies[entry_id])
+    return sum(reply_tallies(forest)[entry_id])
 
 
 def _subtree_preorder(forest, eid):
@@ -261,7 +265,7 @@ class TestSubtreeReplyCount:
                        for eid, kids in forest.children.items() for kid in kids)
             assert forest.order == [eid for root in forest.roots
                                     for eid in _subtree_preorder(forest, root)]
-            counts = {eid: sum(t) for eid, t in one_period_index(forest).replies.items()}
+            counts = {eid: sum(t) for eid, t in reply_tallies(forest).items()}
             assert counts.keys() == forest.entry_index.keys()
             for eid in forest.entry_index:
                 kids = forest.children[eid]
@@ -393,4 +397,4 @@ def test_reply_tally_matches_children_closure(fig_forest):
     stances = StanceAssignment.from_truth({
         ("alice", 0): Stance.AGAINST, ("bob", 0): Stance.PRO,
         ("carol", 0): Stance.PRO, ("dave", 0): Stance.NEUTRAL, ("erin", 0): Stance.PRO})
-    assert one_period_index(fig_forest, stances).replies["n1"] == (1, 1, 1, 0)
+    assert reply_tallies(fig_forest, stances)["n1"] == (1, 1, 1, 0)

@@ -320,6 +320,24 @@ def test_bad_tsv_row_names_its_line(row, problem):
         StanceAssignment.from_tsv(text)
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "amy\t0\t0.5\tP\nbob\t0\t0.1\tA\n",
+    "user\tperiod\tstance\nbob\t0\tA\n",
+])
+def test_tsv_without_its_header_is_refused(text):
+    with pytest.raises(ValueError, match=r"^line 1: not the header "
+                                         r"user, period, leave_probability, stance$"):
+        StanceAssignment.from_tsv(text)
+
+
+def test_repeated_tsv_row_names_both_lines():
+    text = ("user\tperiod\tleave_probability\tstance\n"
+            "amy\t0\t0.5\tP\nbob\t0\t0.1\tA\n\namy\t0\t0.9\tA\n")
+    with pytest.raises(ValueError, match=r"^line 5: user 'amy' in period 0 repeats line 2$"):
+        StanceAssignment.from_tsv(text)
+
+
 def test_label_determinism():
     model, entries, partition = _corpus_for_labeling()
     a = label_period_users(model, entries, partition)

@@ -1,9 +1,10 @@
 """The flat-array tree and block KNN against the node-object reference.
 
-Boosting sorts each column once per fit and splits on pre-sorted column
-blocks; a forest node sorts only the columns it draws. KNN ranks neighbours
-with a partition and a sort of the distances at or below it, over blocks of
-rows, and every k votes over a prefix of one ranking.
+Every tree sorts each column once per fit and splits on pre-sorted column
+blocks; a forest's bootstrap repeats each presorted row as often as it was
+drawn. KNN ranks neighbours with a partition and a sort of the distances at
+or below it, over blocks of rows, and every k votes over a prefix of one
+ranking.
 The reference below is the earlier code: recursive `_Node` growers that
 stable-sort every candidate column at every node, row-by-row `apply`, and a
 per-row stable argsort for KNN. Every comparison is exact.
@@ -250,6 +251,18 @@ def _data(kind, seed=0, n=240, d=7):
         base = rng.integers(0, 4, size=(30, d)).astype(np.float64)
         X = base[rng.integers(0, 30, size=n + 80)]
         X[:, 2] = 0.5  # a constant column
+    elif kind == "no-columns":
+        return np.zeros((6, 0)), np.array([0, 1, 1, 2, 1, 0]), np.zeros((4, 0))
+    elif kind == "signed-zeros":  # ties of -0.0 and 0.0 in every column
+        X = (np.where(rng.random((60, 3)) < 0.5, -0.0, 0.0)
+             + rng.integers(-1, 2, size=(60, 3)) * np.array([1.0, 0.5, 0.0]))
+        return X[:40], rng.integers(0, 3, size=40), X
+    elif kind == "two-rows":
+        X = np.array([[-0.0, 1.0], [0.0, 2.0]])
+        return X, np.array([2, 0]), np.vstack([X, [[0.0, 1.4], [-0.0, 1.6], [5.0, 0.0]]])
+    elif kind == "missing-class":  # y holds classes 0 and 2 of 3
+        X = rng.integers(0, 4, size=(60, 4)) / 3.0
+        return X[:40], np.where(X[:40, 0] + X[:40, 1] > 1.0, 2, 0), X
     else:
         raise ValueError(kind)
     y = (np.digitize(X[:, 0] + 0.5 * X[:, 1] + rng.normal(0, 0.3, size=X.shape[0]),
@@ -258,9 +271,11 @@ def _data(kind, seed=0, n=240, d=7):
 
 
 KINDS = ("few", "continuous", "duplicates")
+# Bootstrapped blocks must grow these exactly as per-node sorts do.
+EDGES = ("no-columns", "signed-zeros", "two-rows", "missing-class")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + EDGES)
 @pytest.mark.parametrize("max_features", ["sqrt", "third", "all"])
 @pytest.mark.parametrize("max_depth", [1, 6, None])
 def test_random_forest_matches_reference(kind, max_features, max_depth):
@@ -351,11 +366,10 @@ def test_presort_keeps_row_order_on_ties(kind):
         assert np.array_equal(values[f], X[order[f], f])
 
 
-@pytest.mark.parametrize("presorted", [False, True])
-def test_no_columns_grows_one_leaf(presorted):
+def test_no_columns_grows_one_leaf():
     X = np.zeros((5, 0))
     y = np.array([0, 1, 1, 2, 1])
-    tree, leaves = grow(X, y, np.arange(5), presort(X) if presorted else None, n_classes=3)
+    tree, leaves = grow(X, y, np.arange(5), presort(X), n_classes=3)
     assert tree.n_leaves == 1
     assert tree.apply(X).tolist() == [[1, 3, 1]] * 5
     assert leaves.tolist() == [0] * 5
@@ -366,25 +380,9 @@ def test_grower_leaves_match_apply(kind):
     X, y, _ = _data(kind, seed=8)
     residual = np.random.default_rng(8).normal(size=y.size)
     ref = ReferenceRegressionTree(max_depth=5).fit(X, residual)
-    rows = np.arange(y.size)
-    for presorted in (presort(X), None):
-        tree, leaves = grow(X, residual, rows, presorted, max_depth=5)
-        assert np.array_equal(leaves, tree.apply(X))
-        assert np.array_equal(leaves, ref.apply(X))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("max_depth", [4, 6])
-def test_row_grower_boosts_like_blocks(kind, max_depth, monkeypatch):
-    """Per-node stable sorts add the residuals in the order of the pre-sorted blocks."""
-    X, y, E = _data(kind, seed=len(kind))
-    blocks = GradientBoostingClassifier(n_trees=30, max_depth=max_depth).fit(X, y, 3)
-    monkeypatch.setattr(classifiers, "grow",
-                        lambda X, y, rows, presorted, **kw: grow(X, y, rows, None, **kw))
-    sorts = GradientBoostingClassifier(n_trees=30, max_depth=max_depth).fit(X, y, 3)
-    assert [[v.tobytes() for _, v in s] for s in sorts.stages] == \
-        [[v.tobytes() for _, v in s] for s in blocks.stages]
-    assert np.array_equal(sorts.predict(E), blocks.predict(E))
+    tree, leaves = grow(X, residual, np.arange(y.size), presort(X), max_depth=5)
+    assert np.array_equal(leaves, tree.apply(X))
+    assert np.array_equal(leaves, ref.apply(X))
 
 
 def test_knn_rejects_k_below_one():
