@@ -252,14 +252,9 @@ class RandomForestClassifier:
         rng = np.random.default_rng(seed)
         size = self._subset_size(X.shape[1])
         self.trees = []
-        n = X.shape[0]
-        order, values = presort(X)
+        n, presorted = X.shape[0], presort(X)
         for _ in range(self.n_trees):
-            # A bootstrap repeats each presorted row as often as it was drawn.
-            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            repeat = drawn[order].ravel()
-            blocks = tuple(np.repeat(b, repeat).reshape(-1, n) for b in (order, values))
-            tree, _ = grow(X, y, np.repeat(np.arange(n), drawn), blocks, n_classes=n_classes,
+            tree, _ = grow(X, y, rng.integers(0, n, size=n), presorted, n_classes=n_classes,
                            max_depth=self.max_depth, max_features=size, rng=rng)
             self.trees.append(tree)
         return self
@@ -297,7 +292,7 @@ class GradientBoostingClassifier:
         rates = np.clip(targets.mean(axis=1), 1e-6, 1.0 - 1e-6)
         self.base_scores = np.log(rates / (1.0 - rates))
         scores = np.repeat(self.base_scores[:, None], n, axis=1)
-        rows, presorted = np.arange(n), presort(X)
+        rows, presorted = np.arange(n), presort(X)[:2]  # blocks only: no ranks held
         self.stages = []
         for _ in range(self.n_trees):
             stage = []

@@ -1,13 +1,13 @@
 """CART-style decision trees on flat arrays: Gini classification and variance regression.
 
-One grower and one split search serve both criteria. Each column's rows are
-sorted once per fit (as in XGBoost), a bootstrap repeating a row as often as it
-was drawn; a node scores the blocks of the columns it draws with one cumulative
-sum per block, at the boundaries between distinct values only, and hands its
-blocks to its children through a stable filter. Unrepeated blocks keep the order
-of a per-node stable sort, so residual sums add the same floats in the same
-order; Gini counts are exact in any order. Ties keep the first column (within
-1e-12) and the first boundary; nodes grow depth-first, so rng draws are ordered.
+One grower and one split search serve both criteria; each fit sorts every column once
+(as in XGBoost). A node scores, per candidate column, a block of its rows in ascending
+(value, row) order. Boosting's nodes score every column and filter their blocks for
+their children; a forest node sorts its rows' ranks in the few columns it draws,
+cheaper than filtering them all. Residual sums thus add in a per-node stable sort's
+order; Gini counts are exact in any order. A block is scored with one cumulative sum
+at the boundaries between distinct values. Ties keep the first column (within 1e-12)
+and the first boundary; nodes grow depth-first, so rng draws come in a fixed order.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import numpy as np
 
 
 def presort(X):
-    """Each column's rows and values in ascending value order, both shape (d, n).
-
-    The sort is stable, so equal values keep ascending row order.
-    """
+    """Each column's rows in stable ascending value order and their values, both shape
+    (d, n), and each row's flat index in those: `order.flat[rank[f, row]] == row`."""
     order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-    return order, X[order, np.arange(X.shape[1])[:, None]]
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.size).reshape(order.shape), axis=1)
+    return order, X[order, np.arange(X.shape[1])[:, None]], rank
 
 
 class Tree:
@@ -52,24 +52,24 @@ class Tree:
 def grow(X, y, rows, presorted, n_classes=None, max_depth=None, max_features=None, rng=None):
     """Grow one tree depth-first from the root's `rows` of X (repeats allowed: a bootstrap).
 
-    `presorted` holds the root's blocks, shape (d, rows.size): each column's rows in
-    stable ascending value order, each as often as `rows` holds it (`presort(X)`
-    for every row once). A node draws `max_features` columns (all if None); only
-    a node that searches filters its parent's blocks. With `n_classes`, y holds
-    class indices and nodes split on weighted Gini and stop when pure; without,
-    nodes split y's summed squared error. Returns the tree and each row's leaf
-    ordinal (-1 for rows outside `rows`).
+    `presorted` is `presort(X)`. With `max_features`, a node draws that many columns
+    (all if there are no more) and sorts its rows' ranks in them. Without, `rows` must
+    be every row once, the ranks may be left out, and a node scores every column and
+    filters its blocks for its children. With `n_classes`, y holds class indices and
+    nodes split on weighted Gini and stop when pure; without, on y's summed squared
+    error. Returns the tree and each row's leaf ordinal (-1 for rows outside `rows`).
     """
+    order, values = presorted[:2]
     d = X.shape[1]
     target = y if n_classes is None else np.eye(n_classes)[y]  # one-hot: counts by cumsum
     goes_left = np.zeros(X.shape[0], dtype=bool)
     leaves = np.full(X.shape[0], -1, dtype=np.int64)
     nodes = []  # [feature, threshold, left, right, payload]
     n_leaves = 0
-    # (rows, depth, (parent, 2 left or 3 right), parent's blocks, mask of them or None)
-    stack = [(rows, 0, None, presorted, None)]
+    blocks = None if max_features is not None else (order, values)
+    stack = [(rows, blocks, 0, None)]  # (..., depth, (parent, 2 for left or 3 for right))
     while stack:
-        rows, depth, link, blocks, keep = stack.pop()
+        rows, blocks, depth, link = stack.pop()
         if link:
             nodes[link[0]][link[1]] = len(nodes)
         node = [-1, 0.0, -1, -1, -1]
@@ -80,13 +80,14 @@ def grow(X, y, rows, presorted, n_classes=None, max_depth=None, max_features=Non
             stop = stop or int(np.count_nonzero(node[4])) <= 1
         best = None
         if not stop:
-            if keep is not None:
-                blocks = tuple(np.compress(keep, b).reshape(d, rows.size) for b in blocks)
-            features, drawn = np.arange(d), blocks
-            if max_features is not None and max_features < d:
-                features = np.sort(rng.choice(d, size=max_features, replace=False))
-                drawn = (blocks[0][features], blocks[1][features])
-            best = _best_split(target, *drawn)
+            features = np.arange(d)
+            if max_features is not None:
+                if max_features < d:
+                    features = np.sort(rng.choice(d, size=max_features, replace=False))
+                at = np.sort(presorted[2].take(features[:, None] * X.shape[0] + rows), axis=1)
+                best = _best_split(target, order.take(at), values.take(at))
+            else:
+                best = _best_split(target, *blocks)
         if best is None:
             leaves[rows] = n_leaves
             if n_classes is None:
@@ -95,11 +96,16 @@ def grow(X, y, rows, presorted, n_classes=None, max_depth=None, max_features=Non
             continue
         node[0], node[1] = int(features[best[0]]), best[1]
         left = X[rows, node[0]] <= node[1]
-        goes_left[rows] = left
-        mask = goes_left[blocks[0]].ravel()
+        if blocks is not None:
+            goes_left[rows] = left
+            mask = goes_left[blocks[0]].ravel()
+        if max_depth is not None and depth + 1 >= max_depth:
+            blocks = None  # the children are leaves: rows suffice
         parent = len(nodes) - 1
-        stack.append((rows[~left], depth + 1, (parent, 3), blocks, ~mask))
-        stack.append((rows[left], depth + 1, (parent, 2), blocks, mask))
+        for keep, side in ((~left, 3), (left, 2)):
+            child = None if blocks is None else tuple(
+                np.compress(mask if side == 2 else ~mask, b).reshape(d, -1) for b in blocks)
+            stack.append((rows[keep], child, depth + 1, (parent, side)))
     return Tree(nodes), leaves
 
 

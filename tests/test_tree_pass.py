@@ -1,8 +1,8 @@
 """The flat-array tree and block KNN against the node-object reference.
 
-Every tree sorts each column once per fit and splits on pre-sorted column
-blocks; a forest's bootstrap repeats each presorted row as often as it was
-drawn. KNN ranks neighbours with a partition and a sort of the distances at
+Every tree sorts each column once per fit. Boosting splits on pre-sorted
+column blocks; a forest node sorts its rows' ranks in only the columns it
+draws. KNN ranks neighbours with a partition and a sort of the distances at
 or below it, over blocks of rows, and every k votes over a prefix of one
 ranking.
 The reference below is the earlier code: recursive `_Node` growers that
@@ -271,7 +271,7 @@ def _data(kind, seed=0, n=240, d=7):
 
 
 KINDS = ("few", "continuous", "duplicates")
-# Bootstrapped blocks must grow these exactly as per-node sorts do.
+# Rank sorts of bootstrap rows must grow these exactly as per-node sorts do.
 EDGES = ("no-columns", "signed-zeros", "two-rows", "missing-class")
 
 
@@ -360,16 +360,20 @@ def test_two_row_training_set():
 @pytest.mark.parametrize("kind", KINDS)
 def test_presort_keeps_row_order_on_ties(kind):
     X, _, _ = _data(kind, seed=5)
-    order, values = presort(X)
+    order, values, rank = presort(X)
     for f in range(X.shape[1]):
         assert np.array_equal(order[f], np.lexsort((np.arange(X.shape[0]), X[:, f])))
         assert np.array_equal(values[f], X[order[f], f])
+        assert np.array_equal(order.flat[rank[f]], np.arange(X.shape[0]))
+        assert np.array_equal(values.flat[rank[f]], X[:, f])
 
 
-def test_no_columns_grows_one_leaf():
+@pytest.mark.parametrize("blocks", [False, True])
+def test_no_columns_grows_one_leaf(blocks):
     X = np.zeros((5, 0))
     y = np.array([0, 1, 1, 2, 1])
-    tree, leaves = grow(X, y, np.arange(5), presort(X), n_classes=3)
+    tree, leaves = grow(X, y, np.arange(5), presort(X), n_classes=3,
+                        max_features=None if blocks else 1)
     assert tree.n_leaves == 1
     assert tree.apply(X).tolist() == [[1, 3, 1]] * 5
     assert leaves.tolist() == [0] * 5
@@ -380,9 +384,25 @@ def test_grower_leaves_match_apply(kind):
     X, y, _ = _data(kind, seed=8)
     residual = np.random.default_rng(8).normal(size=y.size)
     ref = ReferenceRegressionTree(max_depth=5).fit(X, residual)
-    tree, leaves = grow(X, residual, np.arange(y.size), presort(X), max_depth=5)
-    assert np.array_equal(leaves, tree.apply(X))
-    assert np.array_equal(leaves, ref.apply(X))
+    rows = np.arange(y.size)
+    for max_features in (None, X.shape[1]):
+        tree, leaves = grow(X, residual, rows, presort(X), max_depth=5, max_features=max_features)
+        assert np.array_equal(leaves, tree.apply(X))
+        assert np.array_equal(leaves, ref.apply(X))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("max_depth", [4, 6])
+def test_row_grower_boosts_like_blocks(kind, max_depth, monkeypatch):
+    """Per-node sorts of the rows' ranks add the residuals in the order of the blocks."""
+    X, y, E = _data(kind, seed=len(kind))
+    blocks = GradientBoostingClassifier(n_trees=30, max_depth=max_depth).fit(X, y, 3)
+    monkeypatch.setattr(classifiers, "grow", lambda X, y, rows, presorted, **kw: grow(
+        X, y, rows, presort(X), max_features=X.shape[1], **kw))
+    sorts = GradientBoostingClassifier(n_trees=30, max_depth=max_depth).fit(X, y, 3)
+    assert [[v.tobytes() for _, v in s] for s in sorts.stages] == \
+        [[v.tobytes() for _, v in s] for s in blocks.stages]
+    assert np.array_equal(sorts.predict(E), blocks.predict(E))
 
 
 def test_knn_rejects_k_below_one():
