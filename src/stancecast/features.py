@@ -103,8 +103,8 @@ class FeatureTable:
     `FeatureRow`s. Tables are equal when set_id, users and periods match
     and the values match bit for bit. A union from `assemble_union` keeps
     its constituent tables in `parts`, so `feature_table_tsv` renders it
-    from their text; `dataclasses.replace` gives a table without parts.
-    The rendered row text is cached, so `values` must not change in place.
+    from their value codes; `dataclasses.replace` gives a table without parts.
+    The codes and their text are cached, so `values` must not change in place.
     """
 
     set_id: str
@@ -135,15 +135,24 @@ class FeatureTable:
         return np.argmax(self.values[:, -3:], axis=1)
 
     @functools.cached_property
-    def _row_text(self) -> list[list[str]]:
-        """Each row's numeric block, then its one-hot, as tab-joined reprs.
-
-        One list per block that has columns, rendered once per table, so a
-        union rendered from its parts formats no float again.
-        """
-        # A Python float's repr is the shortest exact round-trip form; a row at a time
-        return [["\t".join(map(repr, row.tolist())) for row in block]
-                for block in (self.values[:, :-3], self.values[:, -3:]) if block.shape[1]]
+    def _codes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(text, codes) of the numeric block, then the one-hot, if it has columns:
+        each distinct value's repr ending in a tab, then in a newline, and a narrow
+        code per cell. Values differ by their bits, so -0.0 and NaN payloads stay
+        apart; the one-hot's last column, each row's last cell, codes a newline."""
+        coded = []
+        for bits in [b.view(np.int64) for b in (self.values[:, :-3], self.values[:, -3:])
+                     if b.shape[1]]:
+            ranked = np.sort(bits, axis=None)  # faster here than np.unique's hash table
+            distinct = ranked[np.append(True, ranked[1:] != ranked[:-1])]
+            reprs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+            codes = np.empty(bits.shape, dtype=np.min_scalar_type(2 * len(distinct)))
+            for at in range(0, len(bits), _TSV_CHUNK_ROWS):  # bounded temporaries
+                codes[at:at + _TSV_CHUNK_ROWS] = np.searchsorted(
+                    distinct, bits[at:at + _TSV_CHUNK_ROWS])
+            coded.append((np.concatenate([reprs + "\t", reprs + "\n"]), codes))
+        coded[-1][1][:, -1] += len(coded[-1][0]) // 2
+        return coded
 
 
 class UserPeriodActivity(NamedTuple):
@@ -362,6 +371,13 @@ def build_vocab_top_words(entries: Iterable[Entry], limit: int = 100) -> list[st
     return vocab
 
 
+def corpus_vocab(forest: ThreadForest, partition: TimePartition, limit: int = 100) -> list[str]:
+    """FS0's top words: `build_vocab_top_words` over the forest's in-range entries,
+    dated as `build_forest` clamped them, the same dates the period documents use."""
+    return build_vocab_top_words([e for e in forest.entry_index.values()
+                                  if partition.period_of(e.timestamp) is not None], limit)
+
+
 def build_document_index(
     entries: Iterable[Entry], partition: TimePartition
 ) -> dict[Key, list[Entry]]:
@@ -434,8 +450,8 @@ def extract_all(
     """Compute the requested feature sets for every active (user, period).
 
     The sentinel user contributes to everyone else's counts but gets no
-    rows of its own. Rows are ordered by (period, user). A precomputed
-    top-word `vocab` skips the corpus scan for FS0/FS5.
+    rows of its own. Rows are ordered by (period, user). FS0/FS5 count the
+    top words of `vocab`, by default `corpus_vocab`'s.
     """
     unknown = [s for s in sets if s not in SET_IDS]
     if unknown:
@@ -445,13 +461,11 @@ def extract_all(
     for set_id in sets:
         needed.update(UNION_PARTS.get(set_id, ()))
 
-    entries = list(forest.entry_index.values())
     documents: dict[Key, list[Entry]] = {}
     if "FS0" in needed:
         if vocab is None:
-            in_range = [e for e in entries if partition.period_of(e.timestamp) is not None]
-            vocab = build_vocab_top_words(in_range, limit=vocab_width)
-        documents = build_document_index(entries, partition)
+            vocab = corpus_vocab(forest, partition, limit=vocab_width)
+        documents = build_document_index(forest.entry_index.values(), partition)
 
     keys = [key for key in index.keys if key[0] != SENTINEL_AUTHOR]
     first = index.entries[index.starts[[index.keys[key] for key in keys]]]
@@ -522,14 +536,14 @@ def feature_table_chunks(set_id: str, parts: Sequence[FeatureTable]) -> Iterator
         return
     width = sum(part.values.shape[1] - 3 for part in parts) + 3
     yield "\t".join(["user", "period", "set_id"] + [f"f_{i}" for i in range(width)]) + "\n"
-    text = [*(block for part in parts for block in part._row_text[:-1]), first._row_text[-1]]
+    blocks = [*(coded for part in parts for coded in part._codes[:-1]), first._codes[-1]]
     periods = first.periods.tolist()
     for start in range(0, len(first), _TSV_CHUNK_ROWS):
         rows = slice(start, start + _TSV_CHUNK_ROWS)
-        yield "".join(
-            "\t".join([user, str(period), set_id, *blocks]) + "\n"
-            for user, period, *blocks in zip(first.users[rows], periods[rows],
-                                             *(block[rows] for block in text)))
+        keys = [f"{user}\t{period}\t{set_id}\t"
+                for user, period in zip(first.users[rows], periods[rows])]
+        yield "".join(np.hstack([np.array(keys, dtype=object)[:, None],
+                                 *(text[codes[rows]] for text, codes in blocks)]).ravel().tolist())
 
 
 def feature_table_tsv(table: FeatureTable) -> str:

@@ -28,7 +28,7 @@ from .features import (
     UNION_PARTS,
     FeatureTable,
     assemble_union,
-    build_vocab_top_words,
+    corpus_vocab,
     extract_all,
     feature_table_chunks,
     feature_table_from_tsv,
@@ -351,9 +351,8 @@ def _build_features(config: PipelineConfig) -> Files:
     parts = {s: UNION_PARTS.get(s, (s,)) for s in sets}
     vocab: list[str] = []
     if any("FS0" in p for p in parts.values()):
-        in_range = [e for e in entries if partition.period_of(e.timestamp) is not None]
-        vocab = build_vocab_top_words(in_range, limit=config.features.vocab_size)
-    # Unions are written from their parts' row text, never assembled here.
+        vocab = corpus_vocab(forest, partition, limit=config.features.vocab_size)
+    # Unions are written from their parts' value codes, never assembled here.
     bases = sorted({p for s in sets for p in parts[s]})
     try:
         tables = extract_all(forest, partition, stances, sets=bases,

@@ -801,7 +801,6 @@ def test_changed_synth_key_regenerates_the_corpus(pipeline_dir, tmp_path_factory
 @pytest.mark.parametrize("vocab_size", [0, 20])
 def test_features_stage_builds_one_vocabulary(pipeline_dir, monkeypatch, vocab_size):
     import stancecast.features as features_mod
-    import stancecast.pipeline as pipeline_mod
     _, config = pipeline_dir
     real = features_mod.build_vocab_top_words
     limits = []
@@ -811,11 +810,46 @@ def test_features_stage_builds_one_vocabulary(pipeline_dir, monkeypatch, vocab_s
         return real(entries, limit=limit)
 
     monkeypatch.setattr(features_mod, "build_vocab_top_words", counting)
-    monkeypatch.setattr(pipeline_mod, "build_vocab_top_words", counting)
     sets = ("--set", 'features.sets=["FS0"]', "--set", f"features.vocab_size={vocab_size}")
     for command in ("ingest", "label", "features"):
         assert run(command, config, *sets) == 0, command
     assert limits == [vocab_size]
+
+
+def test_features_stage_vocabulary_is_the_libraries(pipeline_dir, monkeypatch):
+    # Ingest writes clamped timestamps; a corpus.jsonl that holds a reply
+    # stamped before the first period (appended here after ingest) has it
+    # clamped up to its in-range parent by build_forest, so its words belong
+    # to the parent's period document. The top-word rule must count them as
+    # the documents do.
+    import stancecast.features as features_mod
+    from stancecast.corpus import TimePartition, build_forest, parse_entries
+    from stancecast.features import extract_all, feature_table_tsv
+    from stancecast.stance import StanceAssignment
+    tmp_path, config = pipeline_dir
+    sets = ("--set", 'features.sets=["FS0"]')
+    assert run("ingest", config, *sets) == 0
+    corpus = tmp_path / "corpus.jsonl"
+    post = next(record for record in map(json.loads, corpus.read_text().splitlines())
+                if record["parent_id"] is None and record["created_utc"] >= 950400)
+    with corpus.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "early", "author": post["author"], "created_utc": 0,
+                                 "body": "quokka " * 400, "parent_id": post["id"]}) + "\n")
+    for command in ("label", "features"):
+        assert run(command, config, *sets) == 0, command
+
+    with corpus.open(encoding="utf-8") as handle:
+        forest = build_forest(parse_entries(handle).entries)
+    stances = StanceAssignment.from_tsv((tmp_path / "stances.tsv").read_text())
+    real, used = features_mod.build_vocab_top_words, []
+    monkeypatch.setattr(features_mod, "build_vocab_top_words",
+                        lambda *args, **kwargs: used.append(real(*args, **kwargs)) or used[-1])
+    table = extract_all(forest, TimePartition.from_iso_dates(BASE_CONFIG["periods"]), stances,
+                        sets=("FS0",), vocab_width=20, vocab=None)["FS0"]
+    vocab = json.loads((tmp_path / "features.json").read_text())["vocab"]
+    assert "quokka" in used[0]
+    assert vocab == used[0]
+    assert (tmp_path / "features_FS0.tsv").read_text() == feature_table_tsv(table)
 
 
 @pytest.mark.parametrize("root, override", [

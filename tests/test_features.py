@@ -968,21 +968,33 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def _fs0_like_table():
+    """3,000 x 103 FS0-like rows, in several render chunks."""
+    rng = np.random.default_rng(3)
+    n = 3000
+    numeric = np.where(rng.random((n, 100)) < 0.2,
+                       rng.integers(1, 4, (n, 100)) * (1 + rng.random(100)), 0.0)
+    return FeatureTable("FS0", tuple(f"user{i % 700}" for i in range(n)),
+                        np.arange(n, dtype=np.int64) % 5,
+                        np.hstack([numeric, np.eye(3)[rng.integers(0, 3, n)]]))
+
+
 class TestPeakMemory:
     def test_parse_fills_one_array(self):
-        # 3,000 x 103 FS0-like rows, in several render chunks. Parsing into
-        # rows of Python floats peaked at 6.3x the values.
-        rng = np.random.default_rng(3)
-        n = 3000
-        numeric = np.where(rng.random((n, 100)) < 0.2,
-                           rng.integers(1, 4, (n, 100)) * (1 + rng.random(100)), 0.0)
-        table = FeatureTable("FS0", tuple(f"user{i % 700}" for i in range(n)),
-                             np.arange(n, dtype=np.int64) % 5,
-                             np.hstack([numeric, np.eye(3)[rng.integers(0, 3, n)]]))
+        # Parsing into rows of Python floats peaked at 6.3x the values.
+        table = _fs0_like_table()
         text = feature_table_tsv(table)
         back, peak = _traced_peak(lambda: feature_table_from_tsv(text))
         assert back == table
         assert peak <= 2.5 * table.values.nbytes
+
+    def test_render_keeps_narrow_codes(self):
+        # Coding the cells through one np.unique inverse over the whole table,
+        # with intp codes, peaked at 5.95x the values here.
+        table = _fs0_like_table()
+        text, peak = _traced_peak(lambda: feature_table_tsv(table))
+        assert text == reference_tsv(table)
+        assert peak <= 3.0 * table.values.nbytes
 
     def test_fs0_counts_into_its_table(self):
         # Per-document Counters and a separate count matrix, gathered,
@@ -1065,6 +1077,27 @@ class TestUnionRendering:
         moved = dataclasses.replace(fs4, values=fs4.values + 1.0)
         assert moved.parts == ()
         assert feature_table_tsv(moved) == reference_tsv(moved) != feature_table_tsv(fs4)
+
+    @pytest.mark.parametrize("distinct, dtype", [
+        (127, np.uint8), (128, np.uint16), (129, np.uint16),
+        (32767, np.uint16), (32768, np.uint32), (32769, np.uint32)])
+    def test_code_width_edges(self, distinct, dtype):
+        # 2 x distinct crosses the uint8 and uint16 limits. The numeric block
+        # holds a NaN with a payload beside the canonical NaN; the one-hot -0.0.
+        payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)
+        n = -(-distinct // 7)
+        numeric = np.resize(np.concatenate([np.arange(distinct - 2) / 4, [np.nan], payload]),
+                            n * 7).reshape(n, 7)
+        onehot = np.eye(3)[np.arange(n) % 3]
+        onehot[(onehot == 0) & (np.arange(n) % 2 == 0)[:, None]] = -0.0
+        users, periods = tuple(f"u{i}" for i in range(n)), np.arange(n, dtype=np.int64) % 4
+        table = FeatureTable("FS1", users, periods, np.hstack([numeric, onehot]))
+        assert [codes.dtype for _, codes in table._codes] == [dtype, np.uint8]
+        assert feature_table_tsv(table) == reference_tsv(table)
+        others = [FeatureTable(part, users, periods, np.hstack([np.full((n, 2), 0.5), onehot]))
+                  for part in ("FS2", "FS3")]
+        union = assemble_union([table, *others], "FS4")
+        assert feature_table_tsv(union) == reference_tsv(union)
 
     def test_constituent_without_onehot_rejected(self):
         forest, _, stances = build_case()
