@@ -50,7 +50,9 @@ def _require_finite(name: str, value, positive: bool = True) -> None:
              f"got {value!r}")
 
 
-def _validate_training(X: np.ndarray, y: np.ndarray, n_classes: int) -> None:
+def _validate_training(X, y, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The training rows as float64 features and int64 labels, once they pass every check."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a non-empty 2-d array")
     if y.shape != (X.shape[0],):
@@ -62,6 +64,7 @@ def _validate_training(X: np.ndarray, y: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"training labels must lie in [0, {n_classes}), got {outside[0]}")
     if np.unique(y).size < 2:
         raise ValueError("training set must contain at least two classes")
+    return X, y
 
 
 class LogisticRegressionClassifier:
@@ -98,7 +101,7 @@ class LogisticRegressionClassifier:
         return loss, grad
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y, n_classes)
+        X, y = _validate_training(X, y, n_classes)
         self.mean = X.mean(axis=0)
         self.scale = X.std(axis=0)
         self.scale[self.scale == 0.0] = 1.0
@@ -149,7 +152,7 @@ class KNNClassifier:
         self.n_classes = 0
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y, n_classes)
+        X, y = _validate_training(X, y, n_classes)
         self.X = X
         self.y = y
         self.n_classes = n_classes
@@ -195,7 +198,7 @@ class GaussianNBClassifier:
         self.variances = None
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y, n_classes)
+        X, y = _validate_training(X, y, n_classes)
         n, d = X.shape
         self.means = np.zeros((n_classes, d))
         self.variances = np.ones((n_classes, d))
@@ -247,7 +250,7 @@ class RandomForestClassifier:
         return d
 
     def fit(self, X, y, n_classes, seed=0):
-        _validate_training(X, y, n_classes)
+        X, y = _validate_training(X, y, n_classes)
         self.n_classes = n_classes
         rng = np.random.default_rng(seed)
         size = self._subset_size(X.shape[1])
@@ -283,7 +286,7 @@ class GradientBoostingClassifier:
         self.n_classes = 0
 
     def fit(self, X, y, n_classes, seed=None):
-        _validate_training(X, y, n_classes)
+        X, y = _validate_training(X, y, n_classes)
         self.n_classes = n_classes
         n = X.shape[0]
         targets = np.zeros((n_classes, n))
@@ -400,36 +403,30 @@ def check_space(family: str, space: Mapping[str, Sequence]) -> None:
         raise ValueError(str(exc)) from None
 
 
+def _eval_rows(X_eval) -> np.ndarray:
+    """The eval rows as float64 features, once they are finite."""
+    X_eval = np.asarray(X_eval, dtype=np.float64)
+    if X_eval.size and not np.all(np.isfinite(X_eval)):
+        raise ValueError("eval features must be finite")
+    return X_eval
+
+
 def check_rows(X_train, y_train, X_eval, n_classes: int = 3) -> None:
     """Raise `ValueError` for rows that `train_predict` refuses, whatever the configuration.
 
     The eval rows must be finite; the training rows a finite, non-empty 2-d
     array with one label per row in [0, n_classes), of at least two classes.
     """
-    X_eval = np.asarray(X_eval, dtype=np.float64)
-    if X_eval.size and not np.all(np.isfinite(X_eval)):
-        raise ValueError("eval features must be finite")
-    _validate_training(np.asarray(X_train, dtype=np.float64),
-                       np.asarray(y_train, dtype=np.int64), n_classes)
-
-
-def _fitted(family: str, params: Mapping, X_train, y_train, X_eval, seed: int,
-            n_classes: int):
-    """`train_predict`'s checks and fit, configuration then rows: the model and the eval rows."""
-    model = build_classifier(family, params)
-    X_train = np.asarray(X_train, dtype=np.float64)
-    X_eval = np.asarray(X_eval, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.int64)
-    check_rows(X_train, y_train, X_eval, n_classes)
-    model.fit(X_train, y_train, n_classes, seed)
-    return model, X_eval
+    _eval_rows(X_eval)
+    _validate_training(X_train, y_train, n_classes)
 
 
 def train_predict(family: str, params: Mapping, X_train, y_train, X_eval,
                   seed: int = 0, n_classes: int = 3) -> np.ndarray:
     """Fit one configuration on the training set and predict the eval set."""
-    model, X_eval = _fitted(family, params, X_train, y_train, X_eval, seed, n_classes)
-    return model.predict(X_eval)
+    model = build_classifier(family, params)
+    X_eval = _eval_rows(X_eval)
+    return model.fit(X_train, y_train, n_classes, seed).predict(X_eval)
 
 
 def knn_train_predict(configs: Sequence[Mapping], X_train, y_train, X_eval,
@@ -440,7 +437,8 @@ def knn_train_predict(configs: Sequence[Mapping], X_train, y_train, X_eval,
     fit ranks the neighbours for the largest k, and each k votes over a prefix of that.
     """
     ks = [build_classifier("knn", params).k for params in configs]
-    model, X_eval = _fitted("knn", {"k": max(ks)}, X_train, y_train, X_eval, 0, n_classes)
+    X_eval = _eval_rows(X_eval)
+    model = KNNClassifier(max(ks)).fit(X_train, y_train, n_classes)
     ranking = model.rank(X_eval, model.k)
     for k in ks:
         yield model.vote(ranking[:, :k])

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -45,7 +46,7 @@ class LabeledRows:
     """Supervised instances as arrays: row i of `X` has the next stance `y[i]`.
 
     `y` and `current` hold STANCE_ORDER indices; `users` and `periods`
-    say whose (user, period) each row describes.
+    say whose (user, period) each row describes. Each has one entry per row.
     """
 
     X: np.ndarray
@@ -53,6 +54,12 @@ class LabeledRows:
     current: np.ndarray
     users: tuple[str, ...]
     periods: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("y", "current", "users", "periods"):
+            if len(getattr(self, name)) != len(self.X):
+                raise ValueError(f"{name} has {len(getattr(self, name))} entries "
+                                 f"for {len(self.X)} rows of X")
 
     def __len__(self) -> int:
         return len(self.users)
@@ -174,12 +181,14 @@ def nested_cv(
     seeded with `seed + fold index`; the best inner macro F1 wins, first
     candidate on ties.
 
-    The folds, inner splits and candidates are all drawn up front. Each
-    (outer fold, inner split) is one task that fits the split's distinct
-    configurations, and every candidate that drew a configuration gets its
-    score, so the result is the same bytes as fitting every (candidate,
-    split) pair in serial order. Two configurations are the same when every
-    value has the same type and `repr`. A task fits:
+    The folds, inner splits and candidates are all drawn up front. A task
+    is rows to fit, rows to predict and the fits to run on them in serial
+    order; it returns each fit's predictions, which this process scores in
+    serial order. Each (outer fold, inner split) is one search task over the
+    split's distinct configurations, and every candidate gets its
+    configuration's score, so the result is the same bytes as fitting every
+    (candidate, split) pair in serial order. Two configurations are the same
+    when every value has the same type and `repr`. A search task fits:
 
     * nothing, when all the fold's candidates are one configuration: the
       first candidate wins whatever the scores;
@@ -187,11 +196,13 @@ def nested_cv(
       a random forest fits each candidate with its own seed;
     * for KNN, one neighbour ranking, which every k reads as a prefix.
 
-    Before any fit, `check_rows` checks the rows of every task in serial
-    order: per fold, each search task's (fit, eval) rows, then the refit's
-    (train, test) rows. Rows that `train_predict` refuses raise its
-    `ValueError` then: the first the serial loop hits, except that a fold
-    whose candidates are all one configuration is checked at its refit only.
+    Each outer fold's refit is a task of one fit: the chosen candidate on
+    the fold's training portion (KNN ranks it through the same call).
+    As each fold is drawn, `check_rows` checks its search tasks' (fit, eval)
+    rows, then its refit's (train, test) rows. Rows that `train_predict`
+    refuses raise its `ValueError` then, before any fit: the first the
+    serial loop hits, except that a fold whose candidates are all one
+    configuration is checked at its refit only.
 
     The tasks run in two passes, every fold's search and then every fold's
     refit, on one forked worker per CPU in this process's affinity mask
@@ -201,10 +212,6 @@ def nested_cv(
     the call with `concurrent.futures.process.BrokenProcessPool`.
     """
     check_cv_params(outer_k, inner_k, search_iters)
-    for name in ("y", "current", "users", "periods"):
-        if len(getattr(instances, name)) != len(instances.X):
-            raise ValueError(f"{name} has {len(getattr(instances, name))} entries "
-                             f"for {len(instances.X)} rows of X")
     if len(instances) < outer_k:
         raise ValueError("need at least one instance per outer fold")
     X, y, users = instances.X, instances.y, instances.users
@@ -225,10 +232,6 @@ def nested_cv(
     plans = [_plan_fold(instances, spec, test_list, fold_idx, inner_k, search_iters,
                         seed, group_by_user, warnings)
              for fold_idx, test_list in enumerate(outer_folds)]
-    for plan in plans:
-        for search in plan.searches:
-            check_rows(X[search.fit_idx], y[search.fit_idx], X[search.eval_idx])
-        check_rows(X[plan.train_idx], y[plan.train_idx], X[plan.test_idx])
     context = (spec.family, X, y)
     workers = _fit_workers(sum(len(plan.searches) for plan in plans) + len(plans))
     if workers == 1:
@@ -271,21 +274,13 @@ class _Fit(NamedTuple):
     seed: int
 
 
-class _Search(NamedTuple):
-    """One inner split's search task: its rows and the fits it runs, in serial order."""
+class _Task(NamedTuple):
+    """Fits on the `fit_idx` rows that predict the `eval_idx` rows, run in serial order:
+    an inner split's search, or an outer fold's refit of its chosen configuration."""
 
     fit_idx: np.ndarray
     eval_idx: np.ndarray
     fits: list[_Fit]
-
-
-class _Refit(NamedTuple):
-    """One outer fold's refit task: the chosen configuration on the whole training portion."""
-
-    params: dict
-    fit_idx: np.ndarray
-    eval_idx: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -294,14 +289,14 @@ class _FoldPlan:
 
     `searches` holds one task per inner split, in split order; inner splits
     with an empty validation part or a one-class fit part have none.
-    Candidate i's score on a split is that task's score at `slots[i]`.
+    Candidate i's score on a split is that of the task's fit at `slots[i]`.
     """
 
     test_idx: np.ndarray
     train_idx: np.ndarray
     candidates: list[dict]
     slots: list[int]
-    searches: list[_Search]
+    searches: list[_Task]
     refit_seed: int
 
     @property
@@ -319,9 +314,10 @@ def _plan_fold(instances: LabeledRows, spec: ClassifierSpec, test_list: list[int
                group_by_user: bool, warnings: list[str]) -> _FoldPlan:
     """Draw one outer fold's inner splits and candidates, checking fold hygiene.
 
-    Appends the inner dealing's warnings to `warnings`.
+    Appends the inner dealing's warnings to `warnings`. Then `check_rows` checks
+    each search task's (fit, eval) rows, and the refit's (train, test) rows.
     """
-    y, n = instances.y, len(instances)
+    X, y, n = instances.X, instances.y, len(instances)
     test_idx = np.array(test_list, dtype=np.int64)
     test_mask = np.zeros(n, dtype=bool)
     test_mask[test_idx] = True
@@ -367,11 +363,13 @@ def _plan_fold(instances: LabeledRows, spec: ClassifierSpec, test_list: list[int
         first_draw.setdefault(key, c)
     slot_of = {key: slot for slot, key in enumerate(first_draw)}
     slots = [slot_of[key] for key in keys]
-    searches = [_Search(fit_idx, val_idx,
-                        [_Fit(candidates[c],
-                              _candidate_seed(seed, fold_idx, c * inner_k + inner_i))
-                         for c in first_draw.values()])
+    searches = [_Task(fit_idx, val_idx,
+                      [_Fit(candidates[c], _candidate_seed(seed, fold_idx, c * inner_k + inner_i))
+                       for c in first_draw.values()])
                 for inner_i, fit_idx, val_idx in splits]
+    for task in searches:
+        check_rows(X[task.fit_idx], y[task.fit_idx], X[task.eval_idx])
+    check_rows(X[train_idx], y[train_idx], X[test_idx])
     return _FoldPlan(test_idx=test_idx, train_idx=train_idx, candidates=candidates,
                      slots=slots, searches=searches,
                      refit_seed=_candidate_seed(seed, fold_idx, search_iters * inner_k + inner_k))
@@ -382,15 +380,16 @@ def _run_plans(plans: list[_FoldPlan], run: Callable[[Iterable], Iterator],
                search_iters: int) -> list[tuple[FoldResult, np.ndarray]]:
     """Run every fold's search tasks, then every fold's refit; return (result, preds) per fold.
 
-    `run(tasks)` yields each task's outcome in task order.
+    `run(tasks)` yields each task's predictions in task order; they are scored here.
     """
     started = time.perf_counter()
     n_fits = sum(plan.n_search_fits + 1 for plan in plans)  # the fits dispatched
-    outcomes = run(search for plan in plans for search in plan.searches)
-    refits: list[_Refit] = []
+    outcomes = run(task for plan in plans for task in plan.searches)
+    refits: list[_Task] = []
     fits_done = 0
     for plan in plans:
-        split_scores = [next(outcomes) for _ in plan.searches]
+        split_scores = [[macro_metrics(preds, y[task.eval_idx])["macro_f1"]
+                         for preds in next(outcomes)] for task in plan.searches]
         fits_done += plan.n_search_fits
         # Scores stay in serial order: a float mean depends on the order of its terms.
         best_params, best_score = None, -1.0
@@ -399,16 +398,17 @@ def _run_plans(plans: list[_FoldPlan], run: Callable[[Iterable], Iterator],
             mean_score = float(np.mean(scores)) if scores else -1.0
             if best_params is None or mean_score > best_score:
                 best_params, best_score = params, mean_score
-        refits.append(_Refit(best_params, plan.train_idx, plan.test_idx, plan.refit_seed))
+        refits.append(_Task(plan.train_idx, plan.test_idx,
+                            [_Fit(best_params, plan.refit_seed)]))
         elapsed = time.perf_counter() - started
         log.info("nested_cv %s: fold %d/%d, candidates %d/%d, %.1f s elapsed, "
                  "ETA %.1f s", family, len(refits), len(plans), len(refits) * search_iters,
                  len(plans) * search_iters, elapsed,
                  elapsed / max(fits_done, 1) * (n_fits - fits_done))
-    return [(FoldResult(fold=fold, params=refit.params,
+    return [(FoldResult(fold=fold, params=refit.fits[0].params,
                         metrics=macro_metrics(preds, y[refit.eval_idx]),
                         n_test=int(refit.eval_idx.size)), preds)
-            for fold, (refit, preds) in enumerate(zip(refits, run(refits)))]
+            for fold, (refit, [preds]) in enumerate(zip(refits, run(refits)))]
 
 
 def _fit_workers(n_tasks: int) -> int:
@@ -423,19 +423,16 @@ def _fit_workers(n_tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _run_task(family: str, X: np.ndarray, y: np.ndarray, task):
-    """Run one task: a refit returns its predictions, a search its fits' scores in order."""
-    if isinstance(task, _Refit):
-        return train_predict(family, task.params, X[task.fit_idx], y[task.fit_idx],
-                             X[task.eval_idx], seed=task.seed)
+def _run_task(family: str, X: np.ndarray, y: np.ndarray, task: _Task) -> list[np.ndarray]:
+    """Run one task: each fit's predictions of the eval rows, in order."""
     rows = X[task.fit_idx], y[task.fit_idx], X[task.eval_idx]
     if family == "knn":
         predictions = knn_train_predict([fit.params for fit in task.fits], *rows)
     else:
         predictions = (train_predict(family, fit.params, *rows, seed=fit.seed)
                        for fit in task.fits)
-    eval_y = y[task.eval_idx]
-    return [macro_metrics(preds, eval_y)["macro_f1"] for preds in predictions]
+    # Class indices fit a byte: an eighth of the bytes to send, and to hold until scored.
+    return [preds.astype(np.uint8) for preds in predictions]
 
 
 # Set in each forked worker by `_init_worker`; the parent never sets it.
@@ -454,8 +451,9 @@ def _task_in_worker(task):
 def _submitted(pool: ProcessPoolExecutor, tasks: Iterable) -> Iterator:
     """Submit every task now; yield the outcomes in order. Unlike `pool.map`, cancel no
     future on an error: Python 3.10-3.11 trip over one once the workers are terminated."""
-    futures = [pool.submit(_task_in_worker, task) for task in tasks]
-    return (future.result() for future in futures)
+    futures = deque(pool.submit(_task_in_worker, task) for task in tasks)
+    # Drop each future once read, so that its predictions live only until they are scored.
+    return (futures.popleft().result() for _ in range(len(futures)))
 
 
 def _check_partition(folds: Sequence[Sequence[int]], n: int) -> None:

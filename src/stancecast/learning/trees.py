@@ -110,7 +110,7 @@ def grow(X, y, rows, presorted, n_classes=None, max_depth=None, max_features=Non
 
 
 def _best_split(target, blocks, values):
-    """(candidate, midpoint threshold) of the best boundary in (k, m) column blocks, or None."""
+    """(candidate, threshold) of the best boundary in (k, m) column blocks, or None."""
     k, m = blocks.shape
     flat = np.flatnonzero(values[:, :-1] != values[:, 1:])
     if flat.size == 0:
@@ -139,5 +139,6 @@ def _best_split(target, blocks, values):
         if score != np.inf and (best is None or score < best[0] - 1e-12):
             best = (score, candidate)
     candidate = best[1]
-    cut = first[candidate]
-    return candidate, float((values[candidate, cut] + values[candidate, cut + 1]) / 2.0)
+    low, high = values[candidate, first[candidate]:first[candidate] + 2].tolist()
+    mid = (low + high) / 2.0  # Python floats: inf on overflow, and no warning
+    return candidate, mid if low <= mid < high else low  # `X <= threshold` must split them

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -189,20 +190,15 @@ def train_nb(
         if n == 0:
             raise ValueError(f"class {c.value} has no documents")
 
-    df: dict[str, int] = {}
-    for doc in documents:
-        for token in set(doc):
-            df[token] = df.get(token, 0) + 1
+    df = Counter(token for doc in documents for token in set(doc))
     vocabulary = tuple(sorted(t for t, n in df.items() if n >= min_df))
     vocab_index = {w: i for i, w in enumerate(vocabulary)}
 
     counts = np.zeros((2, len(vocabulary)), dtype=np.float64)
     for doc, label in zip(documents, labels):
-        row = classes.index(label)
-        for token in doc:
-            col = vocab_index.get(token)
-            if col is not None:
-                counts[row, col] += 1.0
+        cols = [col for col in map(vocab_index.get, doc) if col is not None]
+        counts[classes.index(label)] += np.bincount(np.array(cols, dtype=np.intp),
+                                                    minlength=len(vocabulary))
 
     totals = counts.sum(axis=1, keepdims=True)
     # max(..., 1) only guards the log when the vocabulary is empty; the

@@ -300,11 +300,11 @@ def test_knn_ranks_once_per_split(workers, calls, monkeypatch):
     calls.path.unlink()
     monkeypatch.setattr(cv, "_fit_workers", lambda n_tasks: workers)
     assert dumps(nested_cv(instances, spec, **kwargs)) == serial
+    # One ranking per row set: 9 inner splits, then the 3 refits on the test folds.
     lines = calls.lines()
     rankings = Counter(rows_ for kind, _, rows_ in lines if kind == "rank")
-    assert len(rankings) == 9 and set(rankings.values()) == {1}
-    assert sorted(seed for kind, seed, _ in lines if kind == "fit") == \
-        sorted(refit_seeds(6, 3, 3, 8))
+    assert len(rankings) == 12 and set(rankings.values()) == {1}
+    assert [kind for kind, _, _ in lines if kind == "fit"] == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -397,13 +397,21 @@ def test_rows_are_refused_before_any_fit(case, workers, calls, monkeypatch):
 @pytest.mark.parametrize("field", ["y", "current", "users", "periods"])
 def test_one_value_per_row_required(field, calls, monkeypatch):
     instances = rows(7)
-    short = dataclasses.replace(instances, **{field: getattr(instances, field)[:-1]})
     drawn = []
     monkeypatch.setattr(cv, "_stratified_folds", lambda *a: drawn.append(a))
     with pytest.raises(ValueError, match=rf"^{field} has 89 entries for 90 rows of X$"):
+        short = dataclasses.replace(instances, **{field: getattr(instances, field)[:-1]})
         nested_cv(short, ClassifierSpec("gaussian_nb"), outer_k=3, inner_k=2,
                   search_iters=2, seed=0)
     assert drawn == [] and calls.lines() == []
+
+
+@pytest.mark.parametrize("field", ["y", "current", "users", "periods"])
+def test_short_field_is_refused_when_built(field):
+    fields = dataclasses.asdict(rows(7))
+    fields[field] = fields[field][1:]
+    with pytest.raises(ValueError, match=rf"^{field} has 89 entries for 90 rows of X$"):
+        LabeledRows(**fields)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -10,7 +10,7 @@ import pytest
 
 from stancecast.features import FeatureTable
 from stancecast.stance import STANCE_INDEX, STANCE_ORDER, Stance, StanceAssignment
-from stancecast.learning import cv
+from stancecast.learning import classifiers, cv
 from stancecast.learning.classifiers import (
     DEFAULT_SPACES,
     FAMILIES,
@@ -143,6 +143,20 @@ class TestFamilies:
             train_predict(family, {}, X, y[:-1], X, n_classes=3)
         with pytest.raises(ValueError, match=rf"{n - 1} rows but {n} labels"):
             check_rows(X[:-1], y, X)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_training_rows_checked_once_per_fit(self, family, monkeypatch):
+        X, y = blobs(seed=2, classes=3, d=3)
+        checked = []
+        real = classifiers._validate_training
+        monkeypatch.setattr(classifiers, "_validate_training",
+                            lambda *args: checked.append(family) or real(*args))
+        train_predict(family, {}, X, y, X, n_classes=3)
+        assert checked == [family]
+        if family == "knn":
+            checked.clear()
+            list(classifiers.knn_train_predict([{"k": 1}, {"k": 4}], X, y, X))
+            assert checked == [family]
 
     def test_determinism_per_family(self):
         X, y = blobs(seed=8, classes=3, d=4, n=30)

@@ -176,6 +176,35 @@ class TestTrainNB:
         model = train_nb(docs, labels, min_df=2)
         assert model.vocabulary == ("common",)
 
+    @given(docs=st.lists(st.lists(st.sampled_from("abcdefg"), max_size=6), min_size=2,
+                         max_size=12),
+           pro=st.lists(st.booleans(), min_size=12, max_size=12),
+           min_df=st.integers(1, 5))
+    def test_counts_match_token_loop(self, docs, pro, min_df):
+        # Reference: per-token count loop; empty documents, tokens below
+        # min_df and an empty vocabulary all occur.
+        labels = [Stance.PRO if p else Stance.AGAINST for p in pro[:len(docs)]]
+        labels[:2] = [Stance.PRO, Stance.AGAINST]
+        df: dict[str, int] = {}
+        for doc in docs:
+            for token in set(doc):
+                df[token] = df.get(token, 0) + 1
+        vocabulary = tuple(sorted(t for t, n in df.items() if n >= min_df))
+        counts = np.zeros((2, len(vocabulary)))
+        for doc, label in zip(docs, labels):
+            for token in doc:
+                if token in vocabulary:
+                    counts[(Stance.AGAINST, Stance.PRO).index(label),
+                           vocabulary.index(token)] += 1.0
+        totals = counts.sum(axis=1, keepdims=True)
+        log_likelihood = np.log(counts + 0.5) - np.log(totals + 0.5 * max(len(vocabulary), 1))
+        priors = np.array([labels.count(Stance.AGAINST), labels.count(Stance.PRO)],
+                          dtype=np.float64)
+        model = train_nb(docs, labels, alpha=0.5, min_df=min_df)
+        assert model.vocabulary == vocabulary
+        assert model.log_prior.tobytes() == (np.log(priors) - np.log(priors.sum())).tobytes()
+        assert model.log_likelihood.tobytes() == log_likelihood.tobytes()
+
 
 class TestLeaveProbability:
     def test_symmetric_model_gives_half(self):

@@ -357,6 +357,33 @@ def test_two_row_training_set():
                               reference_knn(X, y, 2, k, E))
 
 
+# Two neighbouring floats whose midpoint rounds up to the upper one, and a
+# pair whose sum overflows to inf.
+CLOSE_PAIRS = [(1.0000000000000002, 1.0000000000000004), (1e308, 1.5e308)]
+
+
+@pytest.mark.parametrize("low, high", CLOSE_PAIRS)
+def test_threshold_lies_below_the_upper_value(low, high, recwarn):
+    X = np.array([[low], [low], [high], [high]])
+    y = np.array([0, 0, 1, 1])
+    tree, _ = grow(X, y, np.arange(4), presort(X), n_classes=2, max_depth=3)
+    assert low <= tree.threshold[0] < high
+    for model in (RandomForestClassifier(3, 5, "all"), GradientBoostingClassifier(5, 2, 0.3)):
+        assert model.fit(X, y, 2).predict(X).tolist() == [0, 0, 1, 1]
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("low, high", CLOSE_PAIRS)
+def test_unbounded_depth_separates_close_values(low, high):
+    X = np.array([[low], [low], [high], [high]])
+    y = np.array([0, 0, 1, 1])
+    tree, leaves = grow(X, y, np.arange(4), presort(X), n_classes=2)
+    assert tree.n_leaves == 2 and leaves.tolist() == [0, 0, 1, 1]
+    for model in (RandomForestClassifier(3, None, "all"),
+                  GradientBoostingClassifier(5, None, 0.3)):
+        assert model.fit(X, y, 2).predict(X).tolist() == [0, 0, 1, 1]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_presort_keeps_row_order_on_ties(kind):
     X, _, _ = _data(kind, seed=5)
